@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-self fmt-check test race ci bench bench-gate bench-all bench-trace bench-cluster bench-consolidate bench-timeline trace-smoke
+.PHONY: all build vet perfbench-vet lint lint-self fmt-check test race ci bench bench-gate bench-all bench-trace bench-cluster bench-consolidate bench-timeline trace-smoke
 
 all: build
 
@@ -17,6 +17,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own module, so the root `go build ./...` never
+# compiles it. Vet it against this checkout so a change to the packages
+# it imports cannot leave the repository benchmark broken. Nothing may
+# be downloaded: the module resolves the parent through a replace.
+perfbench-vet:
+	GOPROXY=off GOTOOLCHAIN=local $(GO) -C perfbench vet ./...
 
 # lint runs ffslint — the repo's own eight invariant analyzers (detnow,
 # putcheck, poolrelease, dispositions, qconsume, spanend, maporder,
@@ -45,9 +52,10 @@ test:
 # The packages whose tests exercise real goroutines against shared state:
 # the queues and pipeline (real-clock paths), the parallel compute
 # kernels with their pooled buffers (worker pool, tensor/frame pools),
-# and the fault-injection + cluster failure/recovery paths.
+# the fault-injection + cluster failure/recovery paths, and the frame
+# synthesizer whose lookahead renders on the pool's workers.
 race:
-	$(GO) test -race ./internal/queue ./internal/pipeline ./internal/par ./internal/nn ./internal/detect ./internal/faults ./internal/cluster ./internal/cluster/sched ./internal/trace ./internal/obs ./internal/timeline
+	$(GO) test -race ./internal/queue ./internal/pipeline ./internal/par ./internal/vidgen ./internal/nn ./internal/detect ./internal/faults ./internal/cluster ./internal/cluster/sched ./internal/trace ./internal/obs ./internal/timeline
 
 # The experiments suite alone needs ~20 min under -race (the virtual
 # clock is cooperative, so the race detector's overhead doesn't
@@ -56,6 +64,7 @@ race:
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) perfbench-vet
 	$(MAKE) lint
 	$(MAKE) lint-self
 	$(GO) test -race -timeout 3600s ./...

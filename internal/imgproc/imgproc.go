@@ -8,6 +8,8 @@ package imgproc
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"ffsva/internal/frame"
 	"ffsva/internal/par"
@@ -91,10 +93,66 @@ func Resize(src *Gray, w, h int) *Gray {
 	return dst
 }
 
-// resizeRow writes one bilinear output row y of the src→(w,·) resize
-// into dst (length w). Both ResizeInto and the fused ResizeMSE build on
-// it, so the two paths compute identical pixels by construction.
-func resizeRow(src *Gray, w, y int, xRatio, yRatio float64, dst []uint8) {
+// colTap is the horizontal half of one bilinear output column: the two
+// source columns it blends and their weights.
+type colTap struct {
+	x0, x1 int
+	w0, w1 float64 // 1-fx and fx
+}
+
+// tapCache holds the column taps of every (src.W, dst.W) shape seen so
+// far, keyed srcW<<32|dstW. The filters resize to a handful of shapes,
+// so the map is copied on the rare miss and read lock-free otherwise.
+var (
+	tapCache atomic.Pointer[map[uint64][]colTap]
+	tapMu    sync.Mutex
+)
+
+// colTaps returns the column taps of a srcW→dstW resize. They depend
+// only on the two widths, so every row of every resize of that shape
+// shares one table instead of recomputing the same taps per pixel.
+func colTaps(srcW, dstW int) []colTap {
+	key := uint64(srcW)<<32 | uint64(dstW)
+	if m := tapCache.Load(); m != nil {
+		if t, ok := (*m)[key]; ok {
+			return t
+		}
+	}
+	taps := make([]colTap, dstW)
+	xRatio := float64(srcW) / float64(dstW)
+	for x := range taps {
+		sx := (float64(x)+0.5)*xRatio - 0.5
+		x0 := int(math.Floor(sx))
+		fx := sx - float64(x0)
+		x1 := x0 + 1
+		if x0 < 0 {
+			x0, x1, fx = 0, 0, 0
+		}
+		if x1 >= srcW {
+			x1 = srcW - 1
+			if x0 > x1 {
+				x0 = x1
+			}
+		}
+		taps[x] = colTap{x0: x0, x1: x1, w0: 1 - fx, w1: fx}
+	}
+	tapMu.Lock()
+	defer tapMu.Unlock()
+	next := map[uint64][]colTap{key: taps}
+	if m := tapCache.Load(); m != nil {
+		for k, v := range *m {
+			next[k] = v
+		}
+	}
+	tapCache.Store(&next)
+	return taps
+}
+
+// resizeRow writes one bilinear output row y of the src→(len(taps),·)
+// resize into dst (length len(taps)). Both ResizeInto and the fused
+// ResizeMSE build on it, so the two paths compute identical pixels by
+// construction.
+func resizeRow(src *Gray, taps []colTap, y int, yRatio float64, dst []uint8) {
 	sy := (float64(y)+0.5)*yRatio - 0.5
 	y0 := int(math.Floor(sy))
 	fy := sy - float64(y0)
@@ -108,24 +166,12 @@ func resizeRow(src *Gray, w, y int, xRatio, yRatio float64, dst []uint8) {
 			y0 = y1
 		}
 	}
-	row0 := src.Pix[y0*src.W:]
-	row1 := src.Pix[y1*src.W:]
-	for x := 0; x < w; x++ {
-		sx := (float64(x)+0.5)*xRatio - 0.5
-		x0 := int(math.Floor(sx))
-		fx := sx - float64(x0)
-		x1 := x0 + 1
-		if x0 < 0 {
-			x0, x1, fx = 0, 0, 0
-		}
-		if x1 >= src.W {
-			x1 = src.W - 1
-			if x0 > x1 {
-				x0 = x1
-			}
-		}
-		top := float64(row0[x0])*(1-fx) + float64(row0[x1])*fx
-		bot := float64(row1[x0])*(1-fx) + float64(row1[x1])*fx
+	row0 := src.Pix[y0*src.W : (y0+1)*src.W]
+	row1 := src.Pix[y1*src.W : (y1+1)*src.W]
+	dst = dst[:len(taps)]
+	for x, t := range taps {
+		top := float64(row0[t.x0])*t.w0 + float64(row0[t.x1])*t.w1
+		bot := float64(row1[t.x0])*t.w0 + float64(row1[t.x1])*t.w1
 		v := top*(1-fy) + bot*fy
 		dst[x] = uint8(math.Round(clamp(v, 0, 255)))
 	}
@@ -145,11 +191,11 @@ func ResizeInto(src, dst *Gray) {
 		copy(dst.Pix, src.Pix)
 		return
 	}
-	xRatio := float64(src.W) / float64(w)
+	taps := colTaps(src.W, w)
 	yRatio := float64(src.H) / float64(h)
 	par.For(h, 8, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			resizeRow(src, w, y, xRatio, yRatio, dst.Pix[y*w:(y+1)*w])
+			resizeRow(src, taps, y, yRatio, dst.Pix[y*w:(y+1)*w])
 		}
 	})
 }
@@ -177,14 +223,14 @@ func ResizeMSE(src, dst, ref *Gray) float64 {
 		copy(dst.Pix, src.Pix)
 		return MSE(dst, ref)
 	}
-	xRatio := float64(src.W) / float64(w)
+	taps := colTaps(src.W, w)
 	yRatio := float64(src.H) / float64(h)
 	partials := make([]uint64, par.NumChunks(h, resizeMSERows))
 	par.ForChunks(h, resizeMSERows, func(ci, lo, hi int) {
 		var sum uint64
 		for y := lo; y < hi; y++ {
 			row := dst.Pix[y*w : (y+1)*w]
-			resizeRow(src, w, y, xRatio, yRatio, row)
+			resizeRow(src, taps, y, yRatio, row)
 			refRow := ref.Pix[y*w : (y+1)*w]
 			for x, v := range row {
 				d := int(v) - int(refRow[x])

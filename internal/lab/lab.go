@@ -117,6 +117,10 @@ func (c *Camera) Stream(id int, det detect.Detector, opt StreamOptions) pipeline
 	if frames <= 0 {
 		frames = 1000
 	}
+	// A run pulls at most this many frames from the source, a
+	// re-forwarded continuation included (it reuses the source for the
+	// remainder), so the source renders ahead that far and no further.
+	src.SetFrameBudget(frames)
 
 	sdd := filters.NewSDD(c.SDD.Ref, c.SDD.Delta, filters.MetricMSE)
 	snm := filters.NewSNM(train.CloneNet(c.SNM.Net), c.SNM.CLow, c.SNM.CHigh, fd)

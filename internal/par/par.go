@@ -30,6 +30,10 @@
 // parallelism for that one loop, never correctness, because the caller
 // drains the cursor regardless. This is what makes SetWorkers safe to
 // call at any time, including while kernels are running.
+//
+// Spawn reuses the same machinery for one asynchronous call: a
+// one-chunk job whose wake-up is offered to an idle worker, collected
+// by Task.Wait, which runs the call inline if no worker claimed it.
 package par
 
 import (
@@ -277,6 +281,42 @@ func ForChunks(n, size int, body func(ci, lo, hi int)) {
 		return
 	}
 	dispatch(&job{chunkBody: body, n: n, size: size, nchunks: int64(nc)}, w)
+}
+
+// Task is one call handed to the pool by Spawn: a single-chunk job
+// whose chunk cursor decides who runs it. Either a pool worker pops the
+// wake-up and claims the chunk, or Wait finds it unclaimed and runs it
+// inline; the atomic claim makes the call run exactly once.
+type Task struct{ j job }
+
+// Spawn offers fn to an idle pool worker and returns at once; Wait
+// collects it. The wake-up is a non-blocking send to the live pool's
+// queue, so Spawn creates no goroutines and never waits: when every
+// worker is busy, the queue is full, or the width is 1, no worker runs
+// fn and Wait runs it in the caller, which is the serial path. A task
+// stranded in the queue of a generation retired by SetWorkers is
+// claimed the same way. fn must not touch state its spawner uses
+// before Wait returns.
+func Spawn(fn func()) *Task {
+	t := &Task{j: job{body: func(int, int) { fn() }, n: 1, size: 1, nchunks: 1}}
+	t.j.wg.Add(1)
+	if w := Workers(); w > 1 {
+		if p := getPool(w); p != nil {
+			select {
+			case p.jobs <- &t.j:
+			default:
+			}
+		}
+	}
+	return t
+}
+
+// Wait returns once the task's call has run: inline, if no worker has
+// claimed it yet, otherwise after the claiming worker finishes. Every
+// effect of fn happens before Wait returns.
+func (t *Task) Wait() {
+	t.j.run()
+	t.j.wg.Wait()
 }
 
 // NumChunks returns how many chunks ForChunks(n, size, ...) will run.

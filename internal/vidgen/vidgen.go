@@ -11,6 +11,25 @@
 // closed-loop scheduler adjusts inter-scene gaps so the realized TOR
 // converges to the configured target, which is exactly the knob the
 // paper's evaluation sweeps.
+//
+// Synthesis runs one frame ahead of the consumer on an idle par worker
+// when the consumer declares how many frames it will pull
+// (SetFrameBudget). The output is the same as the serial path, byte for
+// byte, whatever the pool width, because the work splits along what
+// owns the state:
+//
+//   - World state — object motion, the scene schedule and its random
+//     draws, the realized-TOR ledger, the background switch — advances
+//     only in Next, on the consumer's goroutine, in frame order.
+//   - The worker only renders: it paints the pixels and ground truth of
+//     a state already stepped, which nothing changes until Next waits
+//     for the render to finish. The only other state it touches is the
+//     sensor-noise generator, which no one else reads.
+//   - At most one render per stream is in flight, so renders of one
+//     stream run in frame order and never overlap.
+//
+// What the stream reports between calls (Background, RealizedTOR)
+// describes the last delivered frame, not the one being rendered.
 package vidgen
 
 import (
@@ -20,6 +39,7 @@ import (
 
 	"ffsva/internal/frame"
 	"ffsva/internal/imgproc"
+	"ffsva/internal/par"
 )
 
 // Config describes one synthetic stream.
@@ -168,6 +188,17 @@ type Stream struct {
 	cfg Config
 	rng *rand.Rand
 	bg  *imgproc.Gray
+	// shown is the background of the last delivered frame; bg runs one
+	// frame ahead of it while a render is pending.
+	shown *imgproc.Gray
+
+	// budget is how many frames the consumer will pull in total (see
+	// SetFrameBudget); ahead renders frame seq while the consumer works
+	// on frame seq-1, and aheadF receives it.
+	budget      int64
+	ahead       *par.Task
+	aheadF      *frame.Frame
+	renderAhead func()
 
 	seq        int64
 	frameIdx   int
@@ -198,17 +229,29 @@ func New(cfg Config) *Stream {
 		bgSeed = cfg.Seed
 	}
 	s.bg = makeBackground(cfg.W, cfg.H, rand.New(rand.NewSource(bgSeed^0xb6)))
+	s.shown = s.bg
 	s.gapLeft = s.initialGap()
+	s.renderAhead = func() { s.aheadF = s.render() }
 	return s
 }
+
+// SetFrameBudget declares that the consumer will pull n frames in
+// total, counting from the stream's first. While the next frame is
+// within the budget, Next offers its render to an idle par worker
+// before returning, so synthesis overlaps the consumer's work on the
+// current frame. The budget keeps the stream from rendering a frame
+// nobody pulls. Past the budget, and by default (n = 0), Next renders
+// synchronously; the frames are the same either way.
+func (s *Stream) SetFrameBudget(n int) { s.budget = int64(n) }
 
 // Config returns the stream's configuration.
 func (s *Stream) Config() Config { return s.cfg }
 
 // Background returns a copy of the true (noise-free, drift-free)
-// background; it exists so tests and the SDD trainer can validate against
-// ground truth.
-func (s *Stream) Background() *imgproc.Gray { return s.bg.Clone() }
+// background behind the last delivered frame (the initial one before
+// the first); it exists so tests and the SDD trainer can validate
+// against ground truth.
+func (s *Stream) Background() *imgproc.Gray { return s.shown.Clone() }
 
 // RealizedTOR reports the fraction of emitted frames that contained at
 // least one visible target object.
@@ -403,15 +446,27 @@ func (s *Stream) visibleBox(o *object) (b frame.Box, ok bool) {
 	}, true
 }
 
-// Next produces the next frame of the stream.
+// Next produces the next frame of the stream: the one rendered ahead,
+// once its render finishes, or a fresh synchronous render.
 func (s *Stream) Next() *frame.Frame {
-	s.step()
-	f := s.render()
+	var f *frame.Frame
+	if s.ahead != nil {
+		s.ahead.Wait()
+		f, s.ahead, s.aheadF = s.aheadF, nil, nil
+	} else {
+		s.step()
+		f = s.render()
+	}
+	s.shown = s.bg
 	s.seq++
 	s.frameIdx++
 	s.totalFrames++
 	if f.Truth.TargetCount(s.cfg.Target) > 0 {
 		s.targetFrames++
+	}
+	if s.totalFrames < s.budget {
+		s.step()
+		s.ahead = par.Spawn(s.renderAhead)
 	}
 	return f
 }
