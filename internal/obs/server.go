@@ -92,15 +92,7 @@ func (s *Server) Start() error {
 		return fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/tracez", s.handleTracez)
-	mux.HandleFunc("/timeline", s.handleTimeline)
-	mux.HandleFunc("/bottleneck", s.handleBottleneck)
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s.srv = &http.Server{Handler: s.handler(), ReadHeaderTimeout: 5 * time.Second}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -110,6 +102,20 @@ func (s *Server) Start() error {
 		}
 	}()
 	return nil
+}
+
+// handler routes every endpoint; Start serves it, and tests drive it
+// in-process without a socket.
+func (s *Server) handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", s.handleIndex)
+	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/snapshot", s.handleSnapshot)
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/tracez", s.handleTracez)
+	mux.HandleFunc("/timeline", s.handleTimeline)
+	mux.HandleFunc("/bottleneck", s.handleBottleneck)
+	return mux
 }
 
 // Addr returns the bound address (host:port), or "" before Start.
