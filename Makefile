@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet perfbench-vet lint lint-self fmt-check test race ci bench bench-gate bench-all bench-trace bench-cluster bench-consolidate bench-timeline trace-smoke
+.PHONY: all build vet perfbench-vet perfbench-test lint lint-self fmt-check test race ci bench bench-gate bench-all bench-trace bench-cluster bench-consolidate bench-timeline trace-smoke
 
 all: build
 
@@ -24,6 +24,13 @@ vet:
 # be downloaded: the module resolves the parent through a replace.
 perfbench-vet:
 	GOPROXY=off GOTOOLCHAIN=local $(GO) -C perfbench vet ./...
+
+# perfbench-test runs the benchmark's own tests (seed purity, traced
+# run digest equal to the untraced one) against this checkout, so a
+# change to pipeline.Snapshot or the cascade cannot silently break what
+# the benchmark measures. About 2 s.
+perfbench-test:
+	GOPROXY=off GOTOOLCHAIN=local $(GO) -C perfbench test ./...
 
 # lint runs ffslint — the repo's own eight invariant analyzers (detnow,
 # putcheck, poolrelease, dispositions, qconsume, spanend, maporder,
@@ -65,6 +72,7 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) perfbench-vet
+	$(MAKE) perfbench-test
 	$(MAKE) lint
 	$(MAKE) lint-self
 	$(GO) test -race -timeout 3600s ./...

@@ -1,14 +1,16 @@
-// Package metrics provides the counters, rate meters and latency
-// histograms FFS-VA's pipeline and its evaluation harness report:
-// per-filter frame counts (Fig. 5), throughput in FPS (Figs. 3/4/9/10),
-// and end-to-end frame latency distributions (Figs. 3/9/10). All types
-// take explicit clock timestamps so they work identically under real and
+// Package metrics provides the counters, rate meters, latency
+// histograms and integer distributions FFS-VA's pipeline and its
+// evaluation harness report: per-filter frame counts (Fig. 5),
+// throughput in FPS (Figs. 3/4/9/10), end-to-end frame latency
+// distributions (Figs. 3/9/10), and SNM batch sizes. All types take
+// explicit clock timestamps so they work identically under real and
 // virtual time.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -256,4 +258,90 @@ func (m *Meter) Rate(now time.Duration) float64 {
 		span = window
 	}
 	return float64(total) / span.Seconds()
+}
+
+// IntDist is a distribution of small non-negative integers — the SNM
+// batch-size distribution in the pipeline. Safe for concurrent use.
+type IntDist struct {
+	mu     sync.Mutex
+	counts []int64
+	n      int64
+	sum    int64
+	max    int
+}
+
+// Observe records one value (negative values are clamped to 0).
+func (d *IntDist) Observe(v int) {
+	if v < 0 {
+		v = 0
+	}
+	d.mu.Lock()
+	for v >= len(d.counts) {
+		d.counts = append(d.counts, 0)
+	}
+	d.counts[v]++
+	d.n++
+	d.sum += int64(v)
+	if v > d.max {
+		d.max = v
+	}
+	d.mu.Unlock()
+}
+
+// Count returns the number of observations.
+func (d *IntDist) Count() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.n
+}
+
+// Mean returns the average observation, or 0 when empty.
+func (d *IntDist) Mean() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.n == 0 {
+		return 0
+	}
+	return float64(d.sum) / float64(d.n)
+}
+
+// Max returns the largest observation.
+func (d *IntDist) Max() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.max
+}
+
+// Counts returns a copy of the per-value counts, indexed by value.
+func (d *IntDist) Counts() []int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]int64(nil), d.counts...)
+}
+
+// SyncMeter wraps a Meter with a mutex so concurrent stages can share it
+// under a RealClock (under the cooperative VirtualClock the lock is
+// uncontended).
+type SyncMeter struct {
+	mu sync.Mutex
+	m  *Meter
+}
+
+// NewSyncMeter creates a locked meter (see NewMeter).
+func NewSyncMeter(slot time.Duration, slots int) *SyncMeter {
+	return &SyncMeter{m: NewMeter(slot, slots)}
+}
+
+// Mark records n events at time now.
+func (s *SyncMeter) Mark(now time.Duration, n int64) {
+	s.mu.Lock()
+	s.m.Mark(now, n)
+	s.mu.Unlock()
+}
+
+// Rate returns events per second over the window ending at now.
+func (s *SyncMeter) Rate(now time.Duration) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m.Rate(now)
 }

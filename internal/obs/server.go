@@ -1,8 +1,9 @@
 // Package obs is the live observability endpoint: a small net/http
 // server exposing the pipeline's state while a run is in progress —
-// Prometheus-text /metrics from the PR-1 registry export, /snapshot
-// JSON, /healthz wired to the heartbeat liveness process, and /tracez
-// rendering the tracer's retained per-frame spans.
+// Prometheus-text /metrics from a fixed family table over the typed
+// pipeline.Snapshot, /snapshot JSON, /healthz wired to the heartbeat
+// liveness process, and /tracez rendering the tracer's retained
+// per-frame spans.
 //
 // The server sits outside the simulation: it never reads pipeline state
 // directly (that would race the virtual clock's cooperative scheduler);
@@ -27,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"ffsva/internal/metrics"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/timeline"
 	"ffsva/internal/trace"
@@ -171,106 +171,139 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 `)
 }
 
-// promHelp carries the # HELP prose for the families we have prose for;
-// families without an entry emit # TYPE only.
-var promHelp = map[string]string{
-	"ffsva_frames_ingested_total": "Frames ingested across all streams.",
-	"ffsva_frames_disposed_total": "Frames leaving the cascade, by disposition label.",
-	"ffsva_frames_orphaned_total": "Frames missing a terminal disposition at drain.",
-	"ffsva_ref_canvases_total":    "Consolidated canvases submitted to the reference tier.",
-	"ffsva_faults_injected_total": "Faults injected by the fault plan.",
-	"ffsva_retries_total":         "Frame retries after recoverable decode faults.",
-	"ffsva_shed_frames_total":     "Frames shed by the overload bypass.",
-	"ffsva_tyolo_fps":             "T-YOLO decided-frame throughput in frames per second.",
-	"ffsva_in_flight":             "Frames ingested but not yet decided.",
-	"ffsva_live_streams":          "Streams still producing frames.",
-	"ffsva_worst_backlog":         "Deepest per-stream queue backlog.",
-	"ffsva_worst_lag_seconds":     "Largest per-stream decision lag in seconds.",
-	"ffsva_overloaded":            "1 while any stage queue sits at capacity.",
-	"ffsva_up":                    "0 once the instance has crashed.",
+// promSample is one series of a family for one instance: an optional
+// label value and the already formatted sample value.
+type promSample struct{ label, value string }
+
+// promFamily is one /metrics family: its exposition name, type and HELP
+// prose (empty: # TYPE only), and the instance's series in a snapshot.
+// A family that returns no series for any instance is not printed.
+type promFamily struct {
+	name, kind, help string
+	series           func(sn *pipeline.Snapshot) []promSample
 }
 
-// promSeries rewrites a registry sample into Prometheus exposition
-// syntax: the family name ("ffsva_"-prefixed, "_total"-suffixed for
-// counters), the full series with instance and label keys, and the
-// exposition type. The registry flattens labeled counters to
-// "name{labelvalue}"; Prometheus needs a key, so the value is re-keyed
-// under "label".
-func promSeries(sample metrics.Sample, instance int) (fam, series, kind string) {
-	name := sample.Name
-	label := ""
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		label = strings.TrimSuffix(name[i+1:], "}")
-		name = name[:i]
+// gSeries renders a value with %g; dSeries renders one with %d.
+func gSeries(f func(sn *pipeline.Snapshot) float64) func(*pipeline.Snapshot) []promSample {
+	return func(sn *pipeline.Snapshot) []promSample { return []promSample{{value: fmt.Sprintf("%g", f(sn))}} }
+}
+
+func dSeries(f func(sn *pipeline.Snapshot) int64) func(*pipeline.Snapshot) []promSample {
+	return func(sn *pipeline.Snapshot) []promSample { return []promSample{{value: fmt.Sprintf("%d", f(sn))}} }
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	kind = "gauge"
-	if sample.Kind == "counter" {
-		kind = "counter"
-		if !strings.HasSuffix(name, "_total") {
-			name += "_total"
-		}
+	return 0
+}
+
+// dispositionsByName lists every disposition sorted by its label, the
+// order frames_disposed_total prints its series in.
+var dispositionsByName = func() []pipeline.Disposition {
+	ds := make([]pipeline.Disposition, pipeline.NumDispositions)
+	for i := range ds {
+		ds[i] = pipeline.Disposition(i)
 	}
-	fam = "ffsva_" + name
-	if label != "" {
-		series = fmt.Sprintf(`%s{instance="%d",label=%q}`, fam, instance, label)
-	} else {
-		series = fmt.Sprintf(`%s{instance="%d"}`, fam, instance)
-	}
-	return fam, series, kind
+	sort.Slice(ds, func(i, j int) bool { return ds[i].String() < ds[j].String() })
+	return ds
+}()
+
+// promFamilies is the whole /metrics exposition, in print order: every
+// family is a fixed function of the typed pipeline.Snapshot.
+var promFamilies = []promFamily{
+	{"ffsva_tyolo_fps", "gauge", "T-YOLO decided-frame throughput in frames per second.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.TYoloRate })},
+	{"ffsva_frame_latency_count", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.Latency.Count) })},
+	{"ffsva_frame_latency_mean_seconds", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.Latency.Mean.Seconds() })},
+	{"ffsva_frame_latency_p50_seconds", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.Latency.P50.Seconds() })},
+	{"ffsva_frame_latency_p95_seconds", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.Latency.P95.Seconds() })},
+	{"ffsva_frame_latency_p99_seconds", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.Latency.P99.Seconds() })},
+	{"ffsva_frame_latency_max_seconds", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.Latency.Max.Seconds() })},
+	{"ffsva_frames_ingested_total", "counter", "Frames ingested across all streams.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.Ingested) })},
+	{"ffsva_frames_disposed_total", "counter", "Frames leaving the cascade, by disposition label.",
+		func(sn *pipeline.Snapshot) []promSample {
+			var out []promSample
+			for _, disp := range dispositionsByName {
+				if n := sn.Drops[disp]; n > 0 {
+					out = append(out, promSample{disp.String(), fmt.Sprintf("%g", float64(n))})
+				}
+			}
+			return out
+		}},
+	{"ffsva_frames_orphaned_total", "counter", "Frames missing a terminal disposition at drain.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.Orphaned) })},
+	{"ffsva_ref_canvases_total", "counter", "Consolidated canvases submitted to the reference tier.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.RefCanvases) })},
+	{"ffsva_snm_batch_size_count", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.SNMBatchCount) })},
+	{"ffsva_snm_batch_size_mean", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.SNMBatchMean })},
+	{"ffsva_snm_batch_size_max", "gauge", "",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.SNMBatchMax) })},
+	{"ffsva_faults_injected_total", "counter", "Faults injected by the fault plan.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.FaultsInjected) })},
+	{"ffsva_retries_total", "counter", "Frame retries after recoverable decode faults.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.Retries) })},
+	{"ffsva_shed_frames_total", "counter", "Frames shed by the overload bypass.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return float64(sn.Drops[pipeline.DropShed]) })},
+	{"ffsva_in_flight", "gauge", "Frames ingested but not yet decided.",
+		dSeries(func(sn *pipeline.Snapshot) int64 { return sn.InFlight })},
+	{"ffsva_live_streams", "gauge", "Streams still producing frames.",
+		dSeries(func(sn *pipeline.Snapshot) int64 { return int64(sn.LiveStreams) })},
+	{"ffsva_worst_backlog", "gauge", "Deepest per-stream queue backlog.",
+		dSeries(func(sn *pipeline.Snapshot) int64 { return int64(sn.WorstBacklog) })},
+	{"ffsva_worst_lag_seconds", "gauge", "Largest per-stream decision lag in seconds.",
+		gSeries(func(sn *pipeline.Snapshot) float64 { return sn.WorstLag.Seconds() })},
+	{"ffsva_overloaded", "gauge", "1 while any stage queue sits at capacity.",
+		dSeries(func(sn *pipeline.Snapshot) int64 { return b2i(sn.Overloaded) })},
+	{"ffsva_up", "gauge", "0 once the instance has crashed.",
+		dSeries(func(sn *pipeline.Snapshot) int64 { return 1 - b2i(sn.Crashed) })},
 }
 
 // handleMetrics writes the Prometheus text exposition grouped by metric
 // family: one # HELP (where prose exists) and # TYPE line per family,
-// followed by every instance's series. Family order is first-seen over
-// sorted instance ids and the registry's registration order, so
-// identical pushed state scrapes byte-identically.
+// followed by every instance's series. Families appear in first-seen
+// order over sorted instance ids and the table: table order, except
+// that a family only a later instance reports yet (frames_disposed_total
+// before the lower instances decide a frame) follows those already
+// seen. Identical pushed state scrapes byte-identically.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snaps, ids := s.snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
-	type family struct {
-		kind  string
-		lines []string
-	}
-	var order []string
-	fams := map[string]*family{}
-	add := func(fam, kind, line string) {
-		f := fams[fam]
-		if f == nil {
-			f = &family{kind: kind}
-			fams[fam] = f
-			order = append(order, fam)
-		}
-		f.lines = append(f.lines, line)
-	}
+	lines := make([][]string, len(promFamilies))
+	var order []int
 	for _, id := range ids {
 		sn := snaps[id]
-		for _, sample := range sn.Metrics {
-			fam, series, kind := promSeries(sample, id)
-			add(fam, kind, fmt.Sprintf("%s %g", series, sample.Value))
+		for i, f := range promFamilies {
+			for _, smp := range f.series(&sn) {
+				if lines[i] == nil {
+					order = append(order, i)
+				}
+				series := fmt.Sprintf(`%s{instance="%d"}`, f.name, id)
+				if smp.label != "" {
+					series = fmt.Sprintf(`%s{instance="%d",label=%q}`, f.name, id, smp.label)
+				}
+				lines[i] = append(lines[i], series+" "+smp.value)
+			}
 		}
-		inst := fmt.Sprintf(`{instance="%d"}`, id)
-		overloaded, up := 0, 1
-		if sn.Overloaded {
-			overloaded = 1
-		}
-		if sn.Crashed {
-			up = 0
-		}
-		add("ffsva_in_flight", "gauge", fmt.Sprintf("ffsva_in_flight%s %d", inst, sn.InFlight))
-		add("ffsva_live_streams", "gauge", fmt.Sprintf("ffsva_live_streams%s %d", inst, sn.LiveStreams))
-		add("ffsva_worst_backlog", "gauge", fmt.Sprintf("ffsva_worst_backlog%s %d", inst, sn.WorstBacklog))
-		add("ffsva_worst_lag_seconds", "gauge", fmt.Sprintf("ffsva_worst_lag_seconds%s %g", inst, sn.WorstLag.Seconds()))
-		add("ffsva_overloaded", "gauge", fmt.Sprintf("ffsva_overloaded%s %d", inst, overloaded))
-		add("ffsva_up", "gauge", fmt.Sprintf("ffsva_up%s %d", inst, up))
 	}
-	for _, fam := range order {
-		f := fams[fam]
-		if help, ok := promHelp[fam]; ok {
-			fmt.Fprintf(w, "# HELP %s %s\n", fam, help)
+	for _, i := range order {
+		f := promFamilies[i]
+		if f.help != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", fam, f.kind)
-		for _, line := range f.lines {
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
+		for _, line := range lines[i] {
 			fmt.Fprintln(w, line)
 		}
 	}

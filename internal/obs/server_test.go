@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"ffsva/internal/metrics"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/trace"
 )
@@ -51,10 +50,8 @@ func liveSnapshot(at time.Duration) pipeline.Snapshot {
 		WorstBacklog:   3,
 		WorstLag:       250 * time.Millisecond,
 		Overloaded:     true,
-		Metrics: []metrics.Sample{
-			{Name: "frames_ingested", Kind: "counter", Value: 42},
-			{Name: "drops{sdd}", Kind: "counter", Value: 5},
-		},
+		Ingested:       42,
+		Drops:          [pipeline.NumDispositions]int64{pipeline.DropSDD: 5},
 	}
 }
 
@@ -102,9 +99,9 @@ func TestHealthzTransitions(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition checks the Prometheus text rendering: registry
-// samples gain the ffsva_ prefix and instance label, flattened labels
-// are re-keyed, counter families are _total-suffixed, HELP and TYPE
+// TestMetricsExposition checks the Prometheus text rendering: snapshot
+// fields gain the ffsva_ prefix and instance label, dispositions are
+// keyed under label, counter families are _total-suffixed, HELP and TYPE
 // lines appear once per family, and the derived control-signal gauges
 // are present.
 func TestMetricsExposition(t *testing.T) {
@@ -119,8 +116,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# HELP ffsva_frames_ingested_total Frames ingested across all streams.",
 		"# TYPE ffsva_frames_ingested_total counter",
 		`ffsva_frames_ingested_total{instance="0"} 42`,
-		"# TYPE ffsva_drops_total counter",
-		`ffsva_drops_total{instance="0",label="sdd"} 5`,
+		"# TYPE ffsva_frames_disposed_total counter",
+		`ffsva_frames_disposed_total{instance="0",label="drop-sdd"} 5`,
 		"# TYPE ffsva_in_flight gauge",
 		`ffsva_in_flight{instance="0"} 7`,
 		`ffsva_live_streams{instance="0"} 2`,

@@ -139,7 +139,7 @@ func (s *System) consolidateRound(batch []*frame.Frame) {
 	// the whole consolidation dividend.
 	refStart := clk.Now()
 	for k := 0; k < canvases; k++ {
-		s.canvasCtr.Inc()
+		s.canvases.Inc()
 		if s.cfg.ChargeCosts {
 			s.gpu1.Use(device.ModelRef, 1, s.cfg.Costs)
 		}

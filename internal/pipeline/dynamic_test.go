@@ -157,7 +157,7 @@ func TestWorstBacklogVisible(t *testing.T) {
 	clk.Go("monitor", func() {
 		for i := 0; i < 7; i++ {
 			clk.Sleep(time.Second)
-			if sys.WorstBacklog() > 0 {
+			if sys.Snapshot().WorstBacklog > 0 {
 				saw++
 			}
 		}

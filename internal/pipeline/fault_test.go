@@ -174,6 +174,22 @@ func TestSheddingBoundsLagUnderSlowdown(t *testing.T) {
 	if rep.FaultsInjected == 0 {
 		t.Error("slowdown adjustments not counted as injected faults")
 	}
+	// The snapshot's typed counters are the same ledger the report reads.
+	sn := sys.Snapshot()
+	if sn.FaultsInjected != rep.FaultsInjected || sn.Retries != rep.Retries {
+		t.Errorf("snapshot faults/retries %d/%d, report %d/%d",
+			sn.FaultsInjected, sn.Retries, rep.FaultsInjected, rep.Retries)
+	}
+	if got := sn.Drops[pipeline.DropShed]; got != rep.ShedFrames || got == 0 {
+		t.Errorf("snapshot shed %d, report %d (want equal and nonzero)", got, rep.ShedFrames)
+	}
+	if sn.Latency.Count != sn.Decided {
+		t.Errorf("latency count %d, want one observation per decided frame (%d)", sn.Latency.Count, sn.Decided)
+	}
+	if sn.Latency.P99 != rep.LatencyP99 || sn.Latency.Max != rep.LatencyMax {
+		t.Errorf("snapshot latency p99/max %v/%v, report %v/%v",
+			sn.Latency.P99, sn.Latency.Max, rep.LatencyP99, rep.LatencyMax)
+	}
 	// The shedding bypass bounds ingest lateness near the threshold
 	// instead of letting it grow with the backlog.
 	if sr.IngestLag > 2*time.Second {

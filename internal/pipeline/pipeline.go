@@ -452,19 +452,12 @@ type System struct {
 	end       time.Duration
 	tyMeter   *metrics.SyncMeter
 	latency   *metrics.Histogram
+	snmBatch  metrics.IntDist
 	refServed metrics.Counter
-
-	// reg is the system's metrics registry; Snapshot exports it. The
-	// named metrics below are cached handles into it.
-	reg       *metrics.Registry
-	ingestCtr *metrics.Counter        // frames_ingested_total
-	dispCtr   *metrics.LabeledCounter // frames_disposed_total{disposition}
-	orphanCtr *metrics.Counter        // frames_orphaned_total (no owning stream)
-	canvasCtr *metrics.Counter        // ref_canvases_total (consolidation canvases inferred)
-	snmBatch  *metrics.IntDist        // snm_batch_size
-	faultCtr  *metrics.Counter        // faults_injected_total
-	retryCtr  *metrics.Counter        // retries_total (decode retries)
-	shedCtr   *metrics.Counter        // shed_frames_total
+	orphans   metrics.Counter // frames that reached the reference stage with no owning stream
+	canvases  metrics.Counter // consolidated canvases inferred by the reference model
+	faults    metrics.Counter // injected fault manifestations
+	retries   metrics.Counter // decode retries within the budget
 
 	recMu     sync.Locker // guards per-stream record bookkeeping
 	streamsMu sync.Locker // guards streams slice after Start
@@ -507,22 +500,12 @@ func New(cfg Config, specs []StreamSpec) *System {
 		costs[device.ModelTYolo] = c
 		cfg.Costs = costs
 	}
-	reg := metrics.NewRegistry()
 	s := &System{
-		cfg:       cfg,
-		cpu:       device.New(cfg.Clock, "cpu", device.CPU, cfg.CPUSlots),
-		refQ:      queue.New[*frame.Frame](cfg.Clock, "ref", cfg.DepthRef),
-		tyMeter:   reg.Meter("tyolo_fps", time.Second, 5),
-		latency:   reg.Histogram("frame_latency"),
-		reg:       reg,
-		ingestCtr: reg.Counter("frames_ingested_total"),
-		dispCtr:   reg.LabeledCounter("frames_disposed_total"),
-		orphanCtr: reg.Counter("frames_orphaned_total"),
-		canvasCtr: reg.Counter("ref_canvases_total"),
-		snmBatch:  reg.IntDist("snm_batch_size"),
-		faultCtr:  reg.Counter("faults_injected_total"),
-		retryCtr:  reg.Counter("retries_total"),
-		shedCtr:   reg.Counter("shed_frames_total"),
+		cfg:     cfg,
+		cpu:     device.New(cfg.Clock, "cpu", device.CPU, cfg.CPUSlots),
+		refQ:    queue.New[*frame.Frame](cfg.Clock, "ref", cfg.DepthRef),
+		tyMeter: metrics.NewSyncMeter(time.Second, 5),
+		latency: metrics.NewHistogram(),
 	}
 	for i := 0; i < cfg.FilterGPUs; i++ {
 		s.filterGPUs = append(s.filterGPUs, device.New(cfg.Clock, fmt.Sprintf("gpu%d", i), device.GPU, 1))
@@ -547,7 +530,7 @@ func New(cfg Config, specs []StreamSpec) *System {
 			d.SetAdjust(func(now, dur time.Duration) time.Duration {
 				nd := cfg.AdjustService(d.Name, now, dur)
 				if nd != dur {
-					s.faultCtr.Inc()
+					s.faults.Inc()
 					cfg.Tracer.Instant("fault "+d.Name, "fault", cfg.Instance, now)
 				}
 				return nd

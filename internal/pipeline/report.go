@@ -109,9 +109,8 @@ func (s *System) Report() *Report {
 		Cancelled:   s.Cancelled(),
 		Crashed:     s.Crashed(),
 
-		FaultsInjected: s.faultCtr.Value(),
-		Retries:        s.retryCtr.Value(),
-		ShedFrames:     s.shedCtr.Value(),
+		FaultsInjected: s.faults.Value(),
+		Retries:        s.retries.Value(),
 	}
 	var first, last time.Duration
 	first = -1
@@ -156,6 +155,7 @@ func (s *System) Report() *Report {
 			sr.RealizedTOR = float64(torFrames) / float64(len(st.records))
 		}
 		r.TotalFrames += st.ingested
+		r.ShedFrames += sr.Counts[DropShed]
 		if first < 0 || st.firstCap < first {
 			first = st.firstCap
 		}
@@ -169,7 +169,7 @@ func (s *System) Report() *Report {
 		r.Streams = append(r.Streams, sr)
 	}
 	r.StageProcessed[4] = s.refServed.Value()
-	r.RefCanvases = s.canvasCtr.Value()
+	r.RefCanvases = s.canvases.Value()
 	if first < 0 {
 		first = 0
 	}
@@ -180,11 +180,8 @@ func (s *System) Report() *Report {
 			r.PerStreamFPS = r.Throughput / float64(n)
 		}
 	}
-	r.LatencyMean = s.latency.Mean()
-	r.LatencyP50 = s.latency.Quantile(0.5)
-	r.LatencyP95 = s.latency.Quantile(0.95)
-	r.LatencyP99 = s.latency.Quantile(0.99)
-	r.LatencyMax = s.latency.Max()
+	l := s.latencySummary()
+	r.LatencyMean, r.LatencyP50, r.LatencyP95, r.LatencyP99, r.LatencyMax = l.Mean, l.P50, l.P95, l.P99, l.Max
 	r.Spans = s.cfg.Tracer.Decomposition(s.cfg.Instance)
 
 	r.Realtime = s.cfg.Mode == Online

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ffsva/internal/device"
-	"ffsva/internal/metrics"
 	"ffsva/internal/queue"
 )
 
@@ -107,6 +106,12 @@ type Snapshot struct {
 	// RefCanvases counts consolidated canvases sent to the reference
 	// model (zero unless Config.Consolidate).
 	RefCanvases int64 `json:"ref_canvases,omitempty"`
+	// FaultsInjected counts injected fault manifestations and Retries the
+	// decode retries within budget; shed frames are Drops[DropShed].
+	FaultsInjected int64 `json:"faults_injected"`
+	Retries        int64 `json:"retries"`
+	// Latency summarizes decision latency over the frames decided so far.
+	Latency LatencySummary `json:"latency"`
 
 	// Control signals (paper §4.3).
 	TYoloRate    float64       `json:"tyolo_fps"`
@@ -124,10 +129,26 @@ type Snapshot struct {
 	Streams []StreamSnapshot `json:"streams"`
 	RefQ    QueueSnapshot    `json:"ref_q"`
 	Devices []DeviceSnapshot `json:"devices"`
+}
 
-	// Metrics is the registry export (counters, gauges, meters,
-	// histogram summaries) at snapshot time.
-	Metrics []metrics.Sample `json:"metrics,omitempty"`
+// LatencySummary is the frame decision latency (capture to final
+// verdict) distribution.
+type LatencySummary struct {
+	Count int64         `json:"count"`
+	Mean  time.Duration `json:"mean"`
+	P50   time.Duration `json:"p50"`
+	P95   time.Duration `json:"p95"`
+	P99   time.Duration `json:"p99"`
+	Max   time.Duration `json:"max"`
+}
+
+func (s *System) latencySummary() LatencySummary {
+	h := s.latency
+	return LatencySummary{
+		Count: h.Count(), Mean: h.Mean(),
+		P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+		Max: h.Max(),
+	}
 }
 
 // Snapshot samples the system's live state. It is safe to call from any
@@ -189,8 +210,11 @@ func (s *System) Snapshot() Snapshot {
 		sn.Streams = append(sn.Streams, ss)
 	}
 	sn.InFlight = sn.Ingested - sn.Decided
-	sn.Orphaned = s.orphanCtr.Value()
-	sn.RefCanvases = s.canvasCtr.Value()
+	sn.Orphaned = s.orphans.Value()
+	sn.RefCanvases = s.canvases.Value()
+	sn.FaultsInjected = s.faults.Value()
+	sn.Retries = s.retries.Value()
+	sn.Latency = s.latencySummary()
 	sn.RefQ = qsnap(s.refQ.Name(), s.refQ.Stats())
 	sn.TYoloRate = s.tyMeter.Rate(now)
 	sn.SNMBatchCount = s.snmBatch.Count()
@@ -207,7 +231,6 @@ func (s *System) Snapshot() Snapshot {
 	if s.disk != nil {
 		sn.Devices = append(sn.Devices, devSnap("ssd", "disk", s.disk.Stats(), elapsed))
 	}
-	sn.Metrics = s.reg.Export(now)
 	return sn
 }
 

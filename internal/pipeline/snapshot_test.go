@@ -84,19 +84,6 @@ func TestSnapshotConservation(t *testing.T) {
 				ss.ID, ss.Drops, sum, ss.Ingested, ss.Frames)
 		}
 	}
-	// The registry export travels with the snapshot.
-	found := false
-	for _, m := range last.Metrics {
-		if m.Name == "frames_ingested_total" {
-			found = true
-			if int64(m.Value) != int64(streams*frames) {
-				t.Fatalf("frames_ingested_total = %v", m.Value)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("registry export missing frames_ingested_total")
-	}
 }
 
 // TestSnapshotJSON verifies the -metrics JSON form is valid and carries
@@ -151,7 +138,7 @@ func TestWorstLagExcludesFinishedStreams(t *testing.T) {
 	if !sawLag {
 		t.Fatal("overload configuration never showed ingest lag; test is vacuous")
 	}
-	if got := sys.WorstLag(); got != 0 {
+	if got := sys.Snapshot().WorstLag; got != 0 {
 		t.Fatalf("WorstLag = %v after all ingest finished, want 0", got)
 	}
 	if final.WorstLag != 0 || final.LiveStreams != 0 {

@@ -256,7 +256,7 @@ func (s *System) prefetch(st *streamState) {
 		if fallible {
 			tries := 0
 			for fsrc.DecodeFails() {
-				s.faultCtr.Inc()
+				s.faults.Inc()
 				if s.cfg.ChargeCosts {
 					s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
 				}
@@ -265,7 +265,7 @@ func (s *System) prefetch(st *streamState) {
 					lost = true
 					break
 				}
-				s.retryCtr.Inc()
+				s.retries.Inc()
 			}
 			// One instant per faulted frame (not per attempt), so decode
 			// faults land on the timeline and arm flight-recorder dumps
@@ -297,7 +297,6 @@ func (s *System) prefetch(st *streamState) {
 			}
 			st.ingested++
 			s.recMu.Unlock()
-			s.ingestCtr.Inc()
 			s.finishLost(st, seq, DropError)
 			continue
 		}
@@ -314,7 +313,6 @@ func (s *System) prefetch(st *streamState) {
 		}
 		st.ingested++
 		s.recMu.Unlock()
-		s.ingestCtr.Inc()
 		late := clk.Now() - target
 		if st.spill != nil {
 			// Spill keeps ingest non-blocking: while spilled frames are
@@ -329,7 +327,6 @@ func (s *System) prefetch(st *streamState) {
 			// of stalling ingest — capture holds its FPS while the
 			// back-end is degraded (the paper's ≥30 FPS ingest guarantee).
 			if !st.sddQ.TryPut(f) {
-				s.shedCtr.Inc()
 				s.finish(st, f, DropShed, -1)
 			}
 		} else if !st.sddQ.Put(f) {
@@ -375,7 +372,7 @@ func (s *System) sddStage(st *streamState) {
 		}
 		if f.Corrupt {
 			// Damaged payload: reject before feeding the cascade garbage.
-			s.faultCtr.Inc()
+			s.faults.Inc()
 			s.cfg.Tracer.Instant("fault corrupt-frame", "fault", s.cfg.Instance, clk.Now())
 			s.finish(st, f, DropError, -1)
 			continue
@@ -647,7 +644,7 @@ func (s *System) refLoop() {
 // counter is the ledger entry that lets Report's conservation check
 // explain the hole.
 func (s *System) finishOrphan(f *frame.Frame) {
-	s.orphanCtr.Inc()
+	s.orphans.Inc()
 	if ft := f.Trace; ft != nil {
 		f.Trace = nil
 		s.cfg.Tracer.Finish(ft, "orphaned", true, s.cfg.Clock.Now())
@@ -693,7 +690,6 @@ func (s *System) finishCounts(st *streamState, f *frame.Frame, d Disposition, re
 		}
 	}
 	s.latency.Observe(rec.Decided - rec.Captured)
-	s.dispCtr.With(d.String()).Inc()
 	if ft := f.Trace; ft != nil {
 		// finish is also the trace record's terminal point: detach it
 		// before the frame is released so retention owns it exclusively.
@@ -726,7 +722,6 @@ func (s *System) finishLost(st *streamState, seq int64, d Disposition) {
 		Captured: now, Decided: now,
 		TruthCount: -1, RefCount: -1, RefFullCount: -1,
 	}
-	s.dispCtr.With(d.String()).Inc()
 	s.recMu.Lock()
 	if idx := seq - st.spec.SeqBase; idx >= 0 && idx < int64(len(st.records)) {
 		st.records[idx] = rec
@@ -736,60 +731,4 @@ func (s *System) finishLost(st *streamState, seq int64, d Disposition) {
 	}
 	st.counts[d]++
 	s.recMu.Unlock()
-}
-
-// TYoloRate reports the shared T-YOLO stage's recent processing rate in
-// FPS over the meter window; the cluster manager compares it against the
-// paper's 140 FPS spare-capacity signal.
-func (s *System) TYoloRate() float64 {
-	return s.tyMeter.Rate(s.cfg.Clock.Now())
-}
-
-// WorstBacklog reports the deepest ingest (capture-buffer) queue across
-// streams, in frames. Backlog divided by FPS is how many seconds the
-// instance is running behind; a sustained multi-second backlog is the
-// overload signal a cluster manager re-forwards on.
-func (s *System) WorstBacklog() int {
-	worst := 0
-	for _, st := range s.snapshotStreams() {
-		n := st.sddQ.Len()
-		if st.spill != nil {
-			n += st.spill.Pending()
-		}
-		if n > worst {
-			worst = n
-		}
-	}
-	return worst
-}
-
-// Overloaded reports whether any SNM or T-YOLO queue sits at its depth
-// threshold — the paper's instance-overload signal (§4.3.1). Because
-// queues legitimately touch their thresholds in bursts, managers should
-// combine this with WorstLag for a sustained signal.
-func (s *System) Overloaded() bool {
-	for _, st := range s.snapshotStreams() {
-		if st.snmQ.Full() || st.tyQ.Full() {
-			return true
-		}
-	}
-	return false
-}
-
-// WorstLag reports the worst current ingest lateness across the
-// instance's online streams: the definitive "no longer real-time"
-// signal a cluster manager acts on. Streams that have finished ingesting
-// (or were stopped) are excluded — a completed stream's stale lateness
-// must not keep the instance looking overloaded forever.
-func (s *System) WorstLag() time.Duration {
-	var worst time.Duration
-	streams := s.snapshotStreams()
-	s.recMu.Lock()
-	defer s.recMu.Unlock()
-	for _, st := range streams {
-		if !st.stop && !st.ingestDone && st.curLag > worst {
-			worst = st.curLag
-		}
-	}
-	return worst
 }

@@ -229,20 +229,23 @@ func (r *Recorder) Observe(instance int, sn pipeline.Snapshot) {
 	}
 
 	t := Tick{
-		Instance:     instance,
-		At:           sn.At,
-		Ingested:     sn.Ingested,
-		Decided:      sn.Decided,
-		InFlight:     sn.InFlight,
-		Drops:        sn.Drops,
-		LiveStreams:  sn.LiveStreams,
-		Overloaded:   sn.Overloaded,
-		Finished:     sn.Finished,
-		Crashed:      sn.Crashed,
-		TYoloRate:    sn.TYoloRate,
-		WorstLag:     sn.WorstLag,
-		WorstBacklog: sn.WorstBacklog,
-		Stages:       stages,
+		Instance:       instance,
+		At:             sn.At,
+		Ingested:       sn.Ingested,
+		Decided:        sn.Decided,
+		InFlight:       sn.InFlight,
+		Drops:          sn.Drops,
+		LiveStreams:    sn.LiveStreams,
+		Overloaded:     sn.Overloaded,
+		Finished:       sn.Finished,
+		Crashed:        sn.Crashed,
+		TYoloRate:      sn.TYoloRate,
+		WorstLag:       sn.WorstLag,
+		WorstBacklog:   sn.WorstBacklog,
+		Retries:        sn.Retries,
+		FaultsInjected: sn.FaultsInjected,
+		ShedFrames:     sn.Drops[pipeline.DropShed],
+		Stages:         stages,
 	}
 	for _, ss := range sn.Streams {
 		t.SDDQ.Depth += ss.SDDQ.Depth
@@ -263,17 +266,6 @@ func (r *Recorder) Observe(instance int, sn pipeline.Snapshot) {
 			Busy: d.Busy, BusyFraction: d.BusyFraction,
 		})
 	}
-	for _, s := range sn.Metrics {
-		switch s.Name {
-		case "retries_total":
-			t.Retries = int64(s.Value)
-		case "faults_injected_total":
-			t.FaultsInjected = int64(s.Value)
-		case "shed_frames_total":
-			t.ShedFrames = int64(s.Value)
-		}
-	}
-
 	r.mu.Lock()
 	t.Tenants = r.tenantRollupLocked(sn)
 	t.Seq = r.seq

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"ffsva/internal/metrics"
 	"ffsva/internal/pipeline"
 	"ffsva/internal/trace"
 )
@@ -69,17 +68,13 @@ func TestRingWraparound(t *testing.T) {
 }
 
 // TestTickSampling checks one tick captures queue occupancy by tier,
-// device accounting, and the fault metrics parsed from the snapshot's
-// registry samples.
+// device accounting, and the snapshot's fault counters.
 func TestTickSampling(t *testing.T) {
 	r := New(Options{})
 	sn := snapAt(2 * time.Second)
-	sn.Metrics = []metrics.Sample{
-		{Name: "retries_total", Kind: "counter", Value: 7},
-		{Name: "faults_injected_total", Kind: "counter", Value: 2},
-		{Name: "shed_frames_total", Kind: "counter", Value: 11},
-		{Name: "unrelated", Kind: "gauge", Value: 99},
-	}
+	sn.Retries = 7
+	sn.FaultsInjected = 2
+	sn.Drops[pipeline.DropShed] = 11
 	r.Observe(0, sn)
 	tk := r.Query(0, 0, 0)[0]
 	if tk.SNMQ.Depth != 2 || tk.SNMQ.Blocked != 3 || tk.RefQ.Depth != 4 || tk.RefQ.Cap != 8 {
@@ -89,7 +84,7 @@ func TestTickSampling(t *testing.T) {
 		t.Fatalf("device sampling wrong: %+v", tk.Devices)
 	}
 	if tk.Retries != 7 || tk.FaultsInjected != 2 || tk.ShedFrames != 11 {
-		t.Fatalf("fault metrics not parsed: %+v", tk)
+		t.Fatalf("fault counters not sampled: %+v", tk)
 	}
 }
 
