@@ -106,16 +106,16 @@ bench-all:
 	$(GO) run ./cmd/ffsbench -scale quick
 
 # bench-trace gates the tracing overhead: the standard workload with
-# tracing off vs on must stay within 3% FPS, recorded in BENCH_trace.json.
+# tracing off vs on must stay within 3% FPS, recorded with its verdict
+# in BENCH_trace.json; -gate exits non-zero on a FAIL verdict.
 bench-trace:
-	$(GO) run ./cmd/ffsbench -only trace -scale quick
+	$(GO) run ./cmd/ffsbench -only trace -scale quick -gate
 
 # bench-cluster sweeps concurrent-stream counts against a fixed fleet
 # under both placement policies and records the max sustained level to
 # BENCH_cluster.json. The sweep runs on the virtual clock with charged
-# costs, so the figures are deterministic; -gate fails on any drop below
-# the committed baseline (skipped, with an explicit marker, on hosts too
-# small to spend the wall-clock on).
+# costs, so the figures are deterministic and the gate runs on every
+# host; -gate fails on any drop below the committed baseline.
 bench-cluster:
 	$(GO) run ./cmd/ffsbench -only cluster -scale quick -gate
 
@@ -129,8 +129,8 @@ bench-timeline:
 # bench-consolidate sweeps the consolidated fleet past the committed
 # full-frame knee and measures the reference-bound tier (high TOR, GPU-1
 # saturated) with and without object-level consolidation, recording both
-# to BENCH_consolidate.json. -gate fails unless the consolidated fleet
-# sustains more streams than the BENCH_cluster.json baseline (skipped,
-# with an explicit marker, on single-core hosts).
+# to BENCH_consolidate.json. Like bench-cluster it runs on the virtual
+# clock and gates on every host: -gate fails unless the consolidated
+# fleet sustains more streams than the BENCH_cluster.json baseline.
 bench-consolidate:
 	$(GO) run ./cmd/ffsbench -only consolidate -scale quick -gate

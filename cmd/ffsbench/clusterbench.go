@@ -1,19 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
-	"ffsva/internal/cluster"
 	"ffsva/internal/cluster/sched"
-	"ffsva/internal/detect"
 	"ffsva/internal/experiments"
 	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
-	"ffsva/internal/vclock"
 )
 
 const benchClusterPath = "BENCH_cluster.json"
@@ -40,19 +35,18 @@ type clusterLevel struct {
 // with charged stage costs, so the figures are deterministic and
 // host-independent — the regression gate compares them exactly.
 type clusterBenchReport struct {
-	Generated       string         `json:"generated"`
-	NumCPU          int            `json:"num_cpu"`
-	Instances       int            `json:"instances"`
-	FramesPerStream int            `json:"frames_per_stream"`
-	Levels          []clusterLevel `json:"levels"`
+	Generated string `json:"generated"`
+	NumCPU    int    `json:"num_cpu"`
+	fleetShape
+	Levels []clusterLevel `json:"levels"`
 	// MaxSustained maps placement policy -> the highest ladder level the
 	// cluster carried with real-time pacing intact, zero rejections, and
 	// zero shed or errored frames.
 	MaxSustained map[string]int `json:"max_sustained_streams"`
-	// Gate is "ok: ...", "skipped: <reason>", or "FAIL: ..." per the
-	// bench-gate convention; under -gate a FAIL exits non-zero.
-	Gate string `json:"gate"`
+	Gate         string         `json:"gate"`
 }
+
+func (r *clusterBenchReport) usable() bool { return len(r.MaxSustained) > 0 }
 
 func (r *clusterBenchReport) Tables() []*experiments.Table {
 	t := &experiments.Table{
@@ -75,42 +69,13 @@ func (r *clusterBenchReport) Tables() []*experiments.Table {
 	return []*experiments.Table{t}
 }
 
-// runClusterLevel runs n concurrent tiny streams against a fixed fleet
-// under the given policy and reports whether the level was sustained.
-func runClusterLevel(cam *lab.Camera, policy string, n, frames, instances int) clusterLevel {
-	clk := vclock.NewVirtual()
-	cfg := cluster.DefaultConfig(clk, instances)
-	cfg.Placement.Policy = policy
-	cfg.Horizon = time.Duration(frames)*time.Second/30 + 13*time.Second
-	arr := make([]cluster.Arrival, n)
-	for i := 0; i < n; i++ {
-		i := i
-		arr[i] = cluster.Arrival{
-			ID:     i,
-			Frames: frames,
-			Make: func(tg *detect.TinyGrid) pipeline.StreamSpec {
-				return cam.Stream(i, tg, lab.StreamOptions{Seed: int64(100 + i), Frames: frames})
-			},
-		}
+// benchFleet is the fleet shape of the cluster and consolidate sweeps:
+// two instances, 2 s of video per stream (4 s at full scale).
+func benchFleet(scale experiments.Scale) fleetShape {
+	if scale.Name == "full" {
+		return fleetShape{Instances: 2, FramesPerStream: 120}
 	}
-	rep := cluster.New(cfg, arr).Run()
-
-	lvl := clusterLevel{
-		Policy:     policy,
-		Streams:    n,
-		Realtime:   rep.Realtime,
-		Reforwards: rep.Reforwards(),
-		Sheds:      rep.Drops[pipeline.DropShed],
-		Errors:     rep.Drops[pipeline.DropError],
-	}
-	for i := 0; i < n; i++ {
-		if rep.StreamFrames[i] != int64(frames) {
-			lvl.Incomplete++
-		}
-	}
-	lvl.Sustained = lvl.Realtime && rep.Rejects() == 0 &&
-		lvl.Sheds == 0 && lvl.Errors == 0 && lvl.Incomplete == 0
-	return lvl
+	return fleetShape{Instances: 2, FramesPerStream: 60}
 }
 
 // runClusterBench sweeps the concurrent-stream ladder under both
@@ -122,65 +87,44 @@ func runClusterBench(scale experiments.Scale, gate bool) (tabler, error) {
 	if err != nil {
 		return nil, err
 	}
-	const instances = 2
-	frames := 60 // 2 s per stream at 30 FPS
-	if scale.Name == "full" {
-		frames = 120
-	}
-
 	r := &clusterBenchReport{
-		Generated:       time.Now().Format(time.RFC3339),
-		NumCPU:          runtime.NumCPU(),
-		Instances:       instances,
-		FramesPerStream: frames,
-		MaxSustained:    map[string]int{},
+		Generated:    time.Now().Format(time.RFC3339),
+		NumCPU:       runtime.NumCPU(),
+		fleetShape:   benchFleet(scale),
+		MaxSustained: map[string]int{},
 	}
 	for _, policy := range []string{sched.PolicyLeastLoad, sched.PolicyHash} {
 		for _, n := range clusterLadder {
-			lvl := runClusterLevel(cam, policy, n, frames, instances)
-			r.Levels = append(r.Levels, lvl)
-			if !lvl.Sustained {
+			run := runFleet(cam, r.fleetShape, policy, false, n)
+			r.Levels = append(r.Levels, clusterLevel{
+				Policy:     policy,
+				Streams:    n,
+				Sustained:  run.sustained,
+				Realtime:   run.rep.Realtime,
+				Reforwards: run.rep.Reforwards(),
+				Sheds:      run.rep.Drops[pipeline.DropShed],
+				Errors:     run.rep.Drops[pipeline.DropError],
+				Incomplete: run.incomplete,
+			})
+			if !run.sustained {
 				break
 			}
 			r.MaxSustained[policy] = n
 		}
 	}
-
-	// The regression gate: the run is deterministic (virtual clock), so
-	// any drop below the committed baseline is a real capacity loss.
 	r.Gate = clusterGate(r)
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(benchClusterPath, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	if gate && len(r.Gate) >= 4 && r.Gate[:4] == "FAIL" {
-		return nil, fmt.Errorf("cluster gate: %s", r.Gate)
-	}
-	return r, nil
+	return r, record(benchClusterPath, r, gate, r.Gate)
 }
 
-// clusterGate compares the sweep against the committed baseline,
-// following the bench-gate convention: an explicit skipped marker with
-// the reason — never a silently passing gate — on hosts or configs
-// where the comparison would be meaningless.
+// clusterGate compares the sweep against the committed baseline. The
+// sweep is deterministic, so any drop below it is a real capacity loss.
 func clusterGate(r *clusterBenchReport) string {
-	if r.NumCPU < 2 {
-		return "skipped: single-core host; the cooperative virtual clock still decides sustained levels deterministically, but wall-clock budget for the full ladder is not worth one core"
-	}
-	data, err := os.ReadFile(benchClusterPath)
-	if err != nil {
-		return "skipped: no committed baseline (" + benchClusterPath + " missing)"
-	}
 	var prev clusterBenchReport
-	if err := json.Unmarshal(data, &prev); err != nil || len(prev.MaxSustained) == 0 {
-		return "skipped: baseline unreadable or pre-sweep format"
+	if skip := loadBaseline(benchClusterPath, &prev); skip != "" {
+		return skip
 	}
-	if prev.Instances != r.Instances || prev.FramesPerStream != r.FramesPerStream {
-		return fmt.Sprintf("skipped: baseline shape differs (%d instances x %d frames vs %d x %d)",
-			prev.Instances, prev.FramesPerStream, r.Instances, r.FramesPerStream)
+	if skip := r.differs(prev.fleetShape); skip != "" {
+		return skip
 	}
 	for _, policy := range []string{sched.PolicyLeastLoad, sched.PolicyHash} {
 		if r.MaxSustained[policy] < prev.MaxSustained[policy] {

@@ -1,19 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
-	"ffsva/internal/cluster"
+	"ffsva/internal/cluster/sched"
 	"ffsva/internal/core"
-	"ffsva/internal/detect"
 	"ffsva/internal/experiments"
 	"ffsva/internal/lab"
 	"ffsva/internal/pipeline"
-	"ffsva/internal/vclock"
 )
 
 const benchConsolidatePath = "BENCH_consolidate.json"
@@ -26,6 +22,10 @@ var consolidateLadder = []int{448, 464, 480, 496, 512}
 // refBoundStreams is the stream grid for the reference-bound tier and
 // the accuracy frontier.
 var refBoundStreams = []int{8, 32, 64}
+
+// minPackRatio is the fewest reference frames per canvas at which
+// consolidation counts as amortizing its canvases.
+const minPackRatio = 1.5
 
 // refBoundTOR makes the reference tier the binding device: at this
 // target-object ratio a large share of frames survives the cascade, so
@@ -68,20 +68,19 @@ type refBoundRow struct {
 // Everything runs on the virtual clock with charged stage costs, so
 // every figure is deterministic and host-independent.
 type consolidateBenchReport struct {
-	Generated       string `json:"generated"`
-	NumCPU          int    `json:"num_cpu"`
-	Instances       int    `json:"instances"`
-	FramesPerStream int    `json:"frames_per_stream"`
+	Generated string `json:"generated"`
+	NumCPU    int    `json:"num_cpu"`
+	fleetShape
 	// BaselineStreams is the committed full-frame knee from
 	// BENCH_cluster.json that the consolidated fleet must beat.
 	BaselineStreams int                     `json:"baseline_streams"`
 	Fleet           []consolidateFleetLevel `json:"fleet"`
 	MaxSustained    int                     `json:"max_sustained_streams"`
 	RefBound        []refBoundRow           `json:"ref_bound"`
-	// Gate is "ok: ...", "skipped: <reason>", or "FAIL: ..." per the
-	// bench-gate convention; under -gate a FAIL exits non-zero.
-	Gate string `json:"gate"`
+	Gate            string                  `json:"gate"`
 }
+
+func (r *consolidateBenchReport) usable() bool { return r.MaxSustained > 0 }
 
 func (r *consolidateBenchReport) Tables() []*experiments.Table {
 	fleet := &experiments.Table{
@@ -127,45 +126,6 @@ func (r *consolidateBenchReport) Tables() []*experiments.Table {
 		})
 	}
 	return []*experiments.Table{fleet, rb}
-}
-
-// runConsolidateFleetLevel is runClusterLevel with consolidation on.
-func runConsolidateFleetLevel(cam *lab.Camera, n, frames, instances int) consolidateFleetLevel {
-	clk := vclock.NewVirtual()
-	cfg := cluster.DefaultConfig(clk, instances)
-	cfg.Pipeline.Consolidate = true
-	cfg.Horizon = time.Duration(frames)*time.Second/30 + 13*time.Second
-	arr := make([]cluster.Arrival, n)
-	for i := 0; i < n; i++ {
-		i := i
-		arr[i] = cluster.Arrival{
-			ID:     i,
-			Frames: frames,
-			Make: func(tg *detect.TinyGrid) pipeline.StreamSpec {
-				return cam.Stream(i, tg, lab.StreamOptions{Seed: int64(100 + i), Frames: frames})
-			},
-		}
-	}
-	rep := cluster.New(cfg, arr).Run()
-
-	lvl := consolidateFleetLevel{
-		Streams:  n,
-		Realtime: rep.Realtime,
-		Sheds:    rep.Drops[pipeline.DropShed],
-		Errors:   rep.Drops[pipeline.DropError],
-	}
-	for _, ir := range rep.Instances {
-		lvl.RefFrames += ir.StageProcessed[4]
-		lvl.Canvases += ir.RefCanvases
-	}
-	for i := 0; i < n; i++ {
-		if rep.StreamFrames[i] != int64(frames) {
-			lvl.Incomplete++
-		}
-	}
-	lvl.Sustained = lvl.Realtime && rep.Rejects() == 0 &&
-		lvl.Sheds == 0 && lvl.Errors == 0 && lvl.Incomplete == 0
-	return lvl
 }
 
 // runRefBoundRow runs the high-TOR online workload once.
@@ -217,23 +177,38 @@ func runConsolidateBench(scale experiments.Scale, gate bool) (tabler, error) {
 	if err != nil {
 		return nil, err
 	}
-	const instances = 2
-	frames, rbFrames := 60, 90
+	rbFrames := 90
 	if scale.Name == "full" {
-		frames, rbFrames = 120, 180
+		rbFrames = 180
 	}
-
 	r := &consolidateBenchReport{
-		Generated:       time.Now().Format(time.RFC3339),
-		NumCPU:          runtime.NumCPU(),
-		Instances:       instances,
-		FramesPerStream: frames,
-		BaselineStreams: clusterBaselineStreams(),
+		Generated:  time.Now().Format(time.RFC3339),
+		NumCPU:     runtime.NumCPU(),
+		fleetShape: benchFleet(scale),
+	}
+	var full clusterBenchReport
+	skip := loadBaseline(benchClusterPath, &full)
+	r.BaselineStreams = full.MaxSustained[sched.PolicyLeastLoad]
+	var prev consolidateBenchReport
+	if skip == "" {
+		skip = loadBaseline(benchConsolidatePath, &prev)
 	}
 	for _, n := range consolidateLadder {
-		lvl := runConsolidateFleetLevel(cam, n, frames, instances)
+		run := runFleet(cam, r.fleetShape, sched.PolicyLeastLoad, true, n)
+		lvl := consolidateFleetLevel{
+			Streams:    n,
+			Sustained:  run.sustained,
+			Realtime:   run.rep.Realtime,
+			Sheds:      run.rep.Drops[pipeline.DropShed],
+			Errors:     run.rep.Drops[pipeline.DropError],
+			Incomplete: run.incomplete,
+		}
+		for _, ir := range run.rep.Instances {
+			lvl.RefFrames += ir.StageProcessed[4]
+			lvl.Canvases += ir.RefCanvases
+		}
 		r.Fleet = append(r.Fleet, lvl)
-		if !lvl.Sustained {
+		if !run.sustained {
 			break
 		}
 		r.MaxSustained = n
@@ -247,60 +222,36 @@ func runConsolidateBench(scale experiments.Scale, gate bool) (tabler, error) {
 			r.RefBound = append(r.RefBound, row)
 		}
 	}
-
-	r.Gate = consolidateGate(r)
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(benchConsolidatePath, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	if gate && len(r.Gate) >= 4 && r.Gate[:4] == "FAIL" {
-		return nil, fmt.Errorf("consolidate gate: %s", r.Gate)
-	}
-	return r, nil
+	r.Gate = consolidateGate(r, full.fleetShape, &prev, skip)
+	return r, record(benchConsolidatePath, r, gate, r.Gate)
 }
 
-// clusterBaselineStreams reads the committed full-frame knee from
-// BENCH_cluster.json, falling back to the known 448 when unreadable.
-func clusterBaselineStreams() int {
-	data, err := os.ReadFile(benchClusterPath)
-	if err != nil {
-		return 448
-	}
-	var prev clusterBenchReport
-	if err := json.Unmarshal(data, &prev); err != nil || prev.MaxSustained["least-load"] == 0 {
-		return 448
-	}
-	return prev.MaxSustained["least-load"]
-}
-
-// consolidateGate follows the bench-gate convention: an explicit
-// skipped marker with the reason on hosts where the comparison is not
-// worth the wall clock, otherwise a hard verdict against both the
-// full-frame baseline and the committed consolidated figures.
-func consolidateGate(r *consolidateBenchReport) string {
-	if r.NumCPU < 2 {
-		return "skipped: single-core host; the virtual-clock sweep is deterministic but the full ladder's wall-clock budget is not worth one core"
-	}
-	if r.MaxSustained <= r.BaselineStreams {
-		return fmt.Sprintf("FAIL: consolidated fleet sustains %d streams, not above the %d full-frame baseline",
-			r.MaxSustained, r.BaselineStreams)
-	}
+// consolidateGate fails when consolidation does not amortize canvases,
+// whatever the baselines. It then compares the consolidated knee with
+// the full-frame knee (recorded at fullShape) and with the committed
+// consolidated figure; skip is the verdict when either baseline is
+// missing or unreadable.
+func consolidateGate(r *consolidateBenchReport, fullShape fleetShape, prev *consolidateBenchReport, skip string) string {
 	for _, row := range r.RefBound {
-		if row.Consolidated && row.PackRatio < 1.5 {
+		if row.Consolidated && row.PackRatio < minPackRatio {
 			return fmt.Sprintf("FAIL: pack ratio %.2f at %d streams: consolidation is not amortizing canvases", row.PackRatio, row.Streams)
 		}
 	}
-	if data, err := os.ReadFile(benchConsolidatePath); err == nil {
-		var prev consolidateBenchReport
-		if err := json.Unmarshal(data, &prev); err == nil && prev.MaxSustained > 0 &&
-			prev.Instances == r.Instances && prev.FramesPerStream == r.FramesPerStream &&
-			r.MaxSustained < prev.MaxSustained {
-			return fmt.Sprintf("FAIL: consolidated fleet sustains %d streams, committed baseline sustained %d",
-				r.MaxSustained, prev.MaxSustained)
-		}
+	if skip == "" {
+		skip = r.differs(fullShape)
+	}
+	if skip == "" {
+		skip = r.differs(prev.fleetShape)
+	}
+	switch {
+	case skip != "":
+		return skip
+	case r.MaxSustained <= r.BaselineStreams:
+		return fmt.Sprintf("FAIL: consolidated fleet sustains %d streams, not above the %d full-frame baseline",
+			r.MaxSustained, r.BaselineStreams)
+	case r.MaxSustained < prev.MaxSustained:
+		return fmt.Sprintf("FAIL: consolidated fleet sustains %d streams, committed baseline sustained %d",
+			r.MaxSustained, prev.MaxSustained)
 	}
 	return fmt.Sprintf("ok: consolidated fleet sustains %d streams vs %d full-frame baseline",
 		r.MaxSustained, r.BaselineStreams)

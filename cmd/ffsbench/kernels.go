@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -19,8 +17,6 @@ import (
 	"ffsva/internal/nn"
 	"ffsva/internal/par"
 	"ffsva/internal/train"
-
-	"ffsva"
 )
 
 // sweepWidths are the pool widths the kernels job measures. Each width
@@ -54,10 +50,7 @@ type endToEndResult struct {
 	SpeedupByWidth map[string]float64 `json:"speedup_by_width"`
 }
 
-// gateReport records the two CI gates. Each entry is "ok: ...",
-// "skipped: ..." (with the reason — never a fake ~1.0× number), or
-// "FAIL: ...", in which case the kernels job exits non-zero under
-// -gate.
+// gateReport holds the kernels job's two gate verdicts.
 type gateReport struct {
 	MulticoreSpeedup string `json:"multicore_speedup"`
 	SerialRegression string `json:"serial_regression"`
@@ -71,6 +64,10 @@ type kernelReport struct {
 	Kernels   []kernelResult  `json:"kernels"`
 	EndToEnd  *endToEndResult `json:"end_to_end,omitempty"`
 	Gate      gateReport      `json:"gate"`
+}
+
+func (r *kernelReport) usable() bool {
+	return len(r.Widths) > 0 && len(r.Kernels) > 0 && r.Kernels[0].NsPerOp != nil
 }
 
 func widthKey(w int) string { return strconv.Itoa(w) }
@@ -145,9 +142,9 @@ type kernelSpec struct {
 	body func()
 }
 
-// evalGates fills in r.Gate from the sweep results and the previous
-// committed report (nil when absent or unreadable).
-func (r *kernelReport) evalGates(prev *kernelReport) {
+// evalGates fills in r.Gate from the sweep results and the committed
+// baseline prev; skip is loadBaseline's verdict for prev.
+func (r *kernelReport) evalGates(prev *kernelReport, skip string) {
 	// Multi-core speedup gate: only meaningful where the hardware can
 	// physically run kernels in parallel.
 	switch {
@@ -173,10 +170,10 @@ func (r *kernelReport) evalGates(prev *kernelReport) {
 	}
 
 	// Serial-regression gate: compare width-1 ns/op against the
-	// previous report, kernel by kernel.
+	// baseline, kernel by kernel.
 	switch {
-	case prev == nil:
-		r.Gate.SerialRegression = "skipped: no comparable baseline (BENCH_kernels.json missing or pre-sweep format)"
+	case skip != "":
+		r.Gate.SerialRegression = skip
 	case prev.NumCPU != r.NumCPU:
 		r.Gate.SerialRegression = fmt.Sprintf("skipped: baseline recorded on a different host class (NumCPU %d vs %d)", prev.NumCPU, r.NumCPU)
 	default:
@@ -208,23 +205,6 @@ func (r *kernelReport) evalGates(prev *kernelReport) {
 	}
 }
 
-// loadPrevReport reads the committed BENCH_kernels.json as a baseline,
-// returning nil when it is absent or not in sweep format.
-func loadPrevReport() *kernelReport {
-	doc, err := os.ReadFile(benchKernelsPath)
-	if err != nil {
-		return nil
-	}
-	var prev kernelReport
-	if err := json.Unmarshal(doc, &prev); err != nil {
-		return nil
-	}
-	if len(prev.Widths) == 0 || len(prev.Kernels) == 0 || prev.Kernels[0].NsPerOp == nil {
-		return nil
-	}
-	return &prev
-}
-
 // runKernels benchmarks the hot compute kernels the filter cascade is
 // built from across a {1,2,4,8} GOMAXPROCS×pool-width sweep, plus a
 // small wall-clock end-to-end run per width, writes the results to
@@ -237,7 +217,8 @@ func runKernels(scale experiments.Scale, gate bool) (tabler, error) {
 		minDur = time.Second
 	}
 
-	prev := loadPrevReport()
+	var prev kernelReport
+	skip := loadBaseline(benchKernelsPath, &prev)
 	rep := &kernelReport{
 		Generated: time.Now().Format(time.RFC3339),
 		NumCPU:    runtime.NumCPU(),
@@ -292,24 +273,8 @@ func runKernels(scale experiments.Scale, gate bool) (tabler, error) {
 		})
 	}
 
-	// Wall-clock end-to-end: a small offline virtual-clock run, timed in
-	// real time (the virtual clock advances as fast as the host computes,
-	// so wall-clock FPS reflects kernel throughput).
-	cfg := ffsva.DefaultConfig()
-	cfg.Streams = 2
-	cfg.FramesPerStream = scale.OfflineFrames / 2
-	if cfg.FramesPerStream < 100 {
-		cfg.FramesPerStream = 100
-	}
-	e2e := func() (int64, float64, error) {
-		start := time.Now()
-		res, err := ffsva.Run(cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		sec := time.Since(start).Seconds()
-		return res.Pipeline.TotalFrames, float64(res.Pipeline.TotalFrames) / sec, nil
-	}
+	// Wall-clock end-to-end: the standard workload, timed per width.
+	cfg := standardConfig(scale)
 	rep.EndToEnd = &endToEndResult{
 		FramesByWidth:  map[string]int64{},
 		FPSByWidth:     map[string]float64{},
@@ -332,14 +297,14 @@ func runKernels(scale experiments.Scale, gate bool) (tabler, error) {
 		for i, s := range specs {
 			rep.Kernels[i].NsPerOp[key] = measure(minDur, s.body)
 		}
-		if _, _, err := e2e(); err != nil { // re-warm model caches at this width
+		if _, _, err := timedRun(cfg); err != nil { // re-warm model caches at this width
 			return nil, err
 		}
-		frames, fps, err := e2e()
+		res, fps, err := timedRun(cfg)
 		if err != nil {
 			return nil, err
 		}
-		rep.EndToEnd.FramesByWidth[key] = frames
+		rep.EndToEnd.FramesByWidth[key] = res.Pipeline.TotalFrames
 		rep.EndToEnd.FPSByWidth[key] = fps
 	}
 
@@ -358,25 +323,6 @@ func runKernels(scale experiments.Scale, gate bool) (tabler, error) {
 		}
 	}
 
-	rep.evalGates(prev)
-
-	doc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(benchKernelsPath, append(doc, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	if gate {
-		var fails []string
-		for _, g := range []string{rep.Gate.MulticoreSpeedup, rep.Gate.SerialRegression} {
-			if strings.HasPrefix(g, "FAIL") {
-				fails = append(fails, g)
-			}
-		}
-		if len(fails) > 0 {
-			return nil, fmt.Errorf("kernel gate: %s", strings.Join(fails, " | "))
-		}
-	}
-	return rep, nil
+	rep.evalGates(&prev, skip)
+	return rep, record(benchKernelsPath, rep, gate, rep.Gate.MulticoreSpeedup, rep.Gate.SerialRegression)
 }

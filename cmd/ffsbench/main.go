@@ -35,7 +35,7 @@ func main() {
 	outPath := flag.String("o", "", "write output to file instead of stdout")
 	metricsEvery := flag.Duration("metrics", 500*time.Millisecond, "snapshot interval for the metrics job")
 	metricsJSON := flag.Bool("metrics-json", false, "also dump each metrics-job snapshot as a JSON line")
-	gateFlag := flag.Bool("gate", false, "kernels job: fail (exit 1) on a missing multi-core speedup or serial ns/op regression; cluster job: fail on a max-sustained-streams regression; consolidate job: fail unless the consolidated fleet beats the full-frame baseline; timeline job: fail when the flight recorder costs over its overhead budget")
+	gateFlag := flag.Bool("gate", false, "exit 1 when a BENCH job's gate verdict is FAIL — kernels: missing multi-core speedup or serial ns/op regression; trace: tracing over its overhead budget; cluster: max-sustained-streams regression; consolidate: consolidated fleet not above the full-frame baseline; timeline: flight recorder over its overhead budget")
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -89,7 +89,7 @@ func main() {
 		{"extensions", func() (tabler, error) { return runExtensions(scale) }},
 		{"metrics", func() (tabler, error) { return runMetrics(scale, *metricsEvery, *metricsJSON, out) }},
 		{"kernels", func() (tabler, error) { return runKernels(scale, *gateFlag) }},
-		{"trace", func() (tabler, error) { return runTraceBench(scale) }},
+		{"trace", func() (tabler, error) { return runTraceBench(scale, *gateFlag) }},
 		{"cluster", func() (tabler, error) { return runClusterBench(scale, *gateFlag) }},
 		{"consolidate", func() (tabler, error) { return runConsolidateBench(scale, *gateFlag) }},
 		{"timeline", func() (tabler, error) { return runTimelineBench(scale, *gateFlag) }},

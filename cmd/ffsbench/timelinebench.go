@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -37,9 +35,7 @@ type timelineBenchReport struct {
 	// anything.
 	Ticks   int64  `json:"ticks"`
 	Verdict string `json:"verdict"`
-	// Gate is "ok: ...", "skipped: <reason>", or "FAIL: ..." per the
-	// bench-gate convention; under -gate a FAIL exits non-zero.
-	Gate string `json:"gate"`
+	Gate    string `json:"gate"`
 }
 
 const benchTimelinePath = "BENCH_timeline.json"
@@ -49,90 +45,42 @@ const benchTimelinePath = "BENCH_timeline.json"
 const timelineMaxOverheadPct = 3.0
 
 func (r *timelineBenchReport) Tables() []*experiments.Table {
-	t := &experiments.Table{
-		ID:      "timeline",
-		Title:   "flight-recorder overhead on the traced workload, off vs on",
-		Columns: []string{"config", "fps", "overhead"},
-		Notes: []string{
-			fmt.Sprintf("best of %d wall-clock reps over %d frames; gate: overhead < %.0f%%", r.Reps, r.Frames, r.MaxOverheadPct),
-			fmt.Sprintf("on-run recorded %d ticks; %s", r.Ticks, r.Verdict),
-			"gate: " + r.Gate,
-			"written to " + benchTimelinePath,
-		},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"timeline off", fmt.Sprintf("%.1f fps", r.OffFPS), "-"},
-		[]string{"timeline on", fmt.Sprintf("%.1f fps", r.OnFPS), fmt.Sprintf("%.2f%%", r.OverheadPct)})
-	return []*experiments.Table{t}
+	return []*experiments.Table{overheadTable("timeline", "flight-recorder overhead on the traced workload, off vs on", "timeline", r.OffFPS, r.OnFPS, r.OverheadPct,
+		fmt.Sprintf("best of %d wall-clock reps over %d frames; gate: overhead < %.0f%%", r.Reps, r.Frames, r.MaxOverheadPct),
+		fmt.Sprintf("on-run recorded %d ticks; %s", r.Ticks, r.Verdict),
+		"gate: "+r.Gate,
+		"written to "+benchTimelinePath)}
 }
 
 // runTimelineBench times the traced standard workload with the flight
-// recorder off and on, interleaving reps to damp drift, writes
-// BENCH_timeline.json, and (with gate set) fails when the recorder
-// costs more than the overhead budget.
+// recorder off and on, writes BENCH_timeline.json, and (with gate set)
+// fails when the recorder costs more than the overhead budget.
 func runTimelineBench(scale experiments.Scale, gate bool) (tabler, error) {
-	cfg := ffsva.DefaultConfig()
-	cfg.Streams = 2
-	cfg.FramesPerStream = scale.OfflineFrames / 2
-	if cfg.FramesPerStream < 100 {
-		cfg.FramesPerStream = 100
-	}
-	cfg.MetricsEvery = 250 * time.Millisecond // same cadence both ways
-	reps := 3
-	if scale.Name == "full" {
-		reps = 5
-	}
-
-	// One timed run; fresh tracer and recorder per rep keep retention
-	// work comparable. The off run still pays for tracing — the delta is
-	// the recorder alone.
-	run := func(rec *ffsva.Timeline) (*ffsva.Result, float64, error) {
-		cfg.Trace = ffsva.NewTracer(ffsva.TraceOptions{})
-		cfg.Timeline = rec
-		cfg.OnSnapshot = func(int, ffsva.Snapshot) {} // force the monitor on in both configs
-		start := time.Now()
-		res, err := ffsva.Run(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		fps := float64(res.Pipeline.TotalFrames) / time.Since(start).Seconds()
-		return res, fps, nil
-	}
-	if _, _, err := run(nil); err != nil { // warm model caches and pools
-		return nil, err
-	}
-
 	rep := &timelineBenchReport{
 		Generated:      time.Now().Format(time.RFC3339),
-		Reps:           reps,
 		NumCPU:         runtime.NumCPU(),
 		MaxOverheadPct: timelineMaxOverheadPct,
 	}
-	for i := 0; i < reps; i++ {
-		res, offFPS, err := run(nil)
-		if err != nil {
-			return nil, err
-		}
-		rep.Frames = res.Pipeline.TotalFrames
-		if offFPS > rep.OffFPS {
-			rep.OffFPS = offFPS
+	// Fresh tracer and recorder per run keep retention work comparable.
+	// The off run still pays for tracing — the delta is the recorder
+	// alone.
+	p, err := runPaired(scale, func(cfg *ffsva.Config, on bool) func(*ffsva.Result) error {
+		cfg.MetricsEvery = 250 * time.Millisecond     // same cadence both ways
+		cfg.OnSnapshot = func(int, ffsva.Snapshot) {} // force the monitor on in both configs
+		cfg.Trace = ffsva.NewTracer(ffsva.TraceOptions{})
+		if !on {
+			return nil
 		}
 		rec := ffsva.NewTimeline(ffsva.TimelineOptions{})
-		onRes, onFPS, err := run(rec)
-		if err != nil {
-			return nil, err
+		cfg.Timeline = rec
+		return func(res *ffsva.Result) error {
+			rep.Ticks = rec.TickCount()
+			rep.Verdict = res.Pipeline.Bottleneck
+			return rec.Close()
 		}
-		if onFPS > rep.OnFPS {
-			rep.OnFPS = onFPS
-		}
-		rep.Ticks = rec.TickCount()
-		rep.Verdict = onRes.Pipeline.Bottleneck
-		if err := rec.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if rep.OffFPS > 0 {
-		rep.OverheadPct = 100 * (rep.OffFPS - rep.OnFPS) / rep.OffFPS
+	})
+	if err != nil {
+		return nil, err
 	}
 	if rep.Ticks == 0 {
 		return nil, fmt.Errorf("timeline bench: the on-run recorded no ticks — the sampler never ran")
@@ -140,31 +88,11 @@ func runTimelineBench(scale experiments.Scale, gate bool) (tabler, error) {
 	if rep.Verdict == "" {
 		return nil, fmt.Errorf("timeline bench: the on-run produced no bottleneck verdict")
 	}
-	rep.Gate = timelineGate(rep)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
+	rep.Frames, rep.Reps = p.frames, p.reps
+	rep.OffFPS, rep.OnFPS, rep.OverheadPct = p.off, p.on, p.overheadPct()
+	rep.Gate = "skipped: single-core host; wall-clock overhead deltas are scheduler noise without a spare core"
+	if rep.NumCPU >= 2 {
+		rep.Gate = overheadVerdict("timeline", p, timelineMaxOverheadPct)
 	}
-	if err := os.WriteFile(benchTimelinePath, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	if gate && len(rep.Gate) >= 4 && rep.Gate[:4] == "FAIL" {
-		return nil, fmt.Errorf("timeline gate: %s", rep.Gate)
-	}
-	return rep, nil
-}
-
-// timelineGate follows the bench-gate convention: an explicit skipped
-// marker on hosts where wall-clock FPS deltas are noise, ok/FAIL by the
-// overhead budget otherwise.
-func timelineGate(r *timelineBenchReport) string {
-	if r.NumCPU < 2 {
-		return "skipped: single-core host; wall-clock overhead deltas are scheduler noise without a spare core"
-	}
-	if r.OverheadPct > r.MaxOverheadPct {
-		return fmt.Sprintf("FAIL: timeline overhead %.2f%% exceeds the %.0f%% budget (off %.1f fps, on %.1f fps)",
-			r.OverheadPct, r.MaxOverheadPct, r.OffFPS, r.OnFPS)
-	}
-	return fmt.Sprintf("ok: timeline overhead %.2f%% within the %.0f%% budget", r.OverheadPct, r.MaxOverheadPct)
+	return rep, record(benchTimelinePath, rep, gate, rep.Gate)
 }

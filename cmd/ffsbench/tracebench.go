@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"ffsva/internal/experiments"
@@ -30,8 +28,9 @@ type traceReport struct {
 	MaxOverheadPct float64 `json:"max_overhead_pct"`
 	// FinishedFrames and TraceBytes describe the on-run's recorded
 	// trace; the export is structurally validated before reporting.
-	FinishedFrames int64 `json:"finished_frames"`
-	TraceBytes     int   `json:"trace_bytes"`
+	FinishedFrames int64  `json:"finished_frames"`
+	TraceBytes     int    `json:"trace_bytes"`
+	Gate           string `json:"gate"`
 }
 
 const benchTracePath = "BENCH_trace.json"
@@ -40,102 +39,50 @@ const benchTracePath = "BENCH_trace.json"
 const traceMaxOverheadPct = 3.0
 
 func (r *traceReport) Tables() []*experiments.Table {
-	t := &experiments.Table{
-		ID:      "trace",
-		Title:   "per-frame tracing overhead, off vs on",
-		Columns: []string{"config", "fps", "overhead"},
-		Notes: []string{
-			fmt.Sprintf("best of %d wall-clock reps over %d frames; gate: overhead < %.0f%%", r.Reps, r.Frames, r.MaxOverheadPct),
-			fmt.Sprintf("on-run recorded %d frame traces, exported %d bytes of trace-event JSON", r.FinishedFrames, r.TraceBytes),
-			"written to " + benchTracePath,
-		},
-	}
-	t.Rows = append(t.Rows,
-		[]string{"tracing off", fmt.Sprintf("%.1f fps", r.OffFPS), "-"},
-		[]string{"tracing on", fmt.Sprintf("%.1f fps", r.OnFPS), fmt.Sprintf("%.2f%%", r.OverheadPct)})
-	return []*experiments.Table{t}
+	return []*experiments.Table{overheadTable("trace", "per-frame tracing overhead, off vs on", "tracing", r.OffFPS, r.OnFPS, r.OverheadPct,
+		fmt.Sprintf("best of %d wall-clock reps over %d frames; gate: overhead < %.0f%%", r.Reps, r.Frames, r.MaxOverheadPct),
+		fmt.Sprintf("on-run recorded %d frame traces, exported %d bytes of trace-event JSON", r.FinishedFrames, r.TraceBytes),
+		"gate: "+r.Gate,
+		"written to "+benchTracePath)}
 }
 
 // runTraceBench times the standard offline workload with tracing off and
-// on, interleaving reps to damp drift, writes BENCH_trace.json, and
-// fails when the on-run costs more than the overhead budget.
-func runTraceBench(scale experiments.Scale) (tabler, error) {
-	cfg := ffsva.DefaultConfig()
-	cfg.Streams = 2
-	cfg.FramesPerStream = scale.OfflineFrames / 2
-	if cfg.FramesPerStream < 100 {
-		cfg.FramesPerStream = 100
-	}
-	reps := 3
-	if scale.Name == "full" {
-		reps = 5
-	}
-
-	// one timed run; a fresh tracer per on-rep keeps retention work
-	// comparable across reps.
-	run := func(tr *ffsva.Tracer) (*ffsva.Result, float64, error) {
-		cfg.Trace = tr
-		start := time.Now()
-		res, err := ffsva.Run(cfg)
-		if err != nil {
-			return nil, 0, err
+// on, writes BENCH_trace.json, and (with gate set) fails when the on-run
+// costs more than the overhead budget.
+func runTraceBench(scale experiments.Scale, gate bool) (tabler, error) {
+	// A fresh tracer per on-run keeps retention work comparable.
+	var last *ffsva.Tracer
+	p, err := runPaired(scale, func(cfg *ffsva.Config, on bool) func(*ffsva.Result) error {
+		if on {
+			last = ffsva.NewTracer(ffsva.TraceOptions{})
+			cfg.Trace = last
 		}
-		fps := float64(res.Pipeline.TotalFrames) / time.Since(start).Seconds()
-		return res, fps, nil
-	}
-	if _, _, err := run(nil); err != nil { // warm model caches and pools
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-
 	rep := &traceReport{
 		Generated:      time.Now().Format(time.RFC3339),
-		Reps:           reps,
+		Frames:         p.frames,
+		Reps:           p.reps,
+		OffFPS:         p.off,
+		OnFPS:          p.on,
+		OverheadPct:    p.overheadPct(),
 		MaxOverheadPct: traceMaxOverheadPct,
-	}
-	var lastTracer *ffsva.Tracer
-	for i := 0; i < reps; i++ {
-		res, offFPS, err := run(nil)
-		if err != nil {
-			return nil, err
-		}
-		rep.Frames = res.Pipeline.TotalFrames
-		if offFPS > rep.OffFPS {
-			rep.OffFPS = offFPS
-		}
-		tracer := ffsva.NewTracer(ffsva.TraceOptions{})
-		if _, onFPS, err := run(tracer); err != nil {
-			return nil, err
-		} else if onFPS > rep.OnFPS {
-			rep.OnFPS = onFPS
-		}
-		lastTracer = tracer
-	}
-	if rep.OffFPS > 0 {
-		rep.OverheadPct = 100 * (rep.OffFPS - rep.OnFPS) / rep.OffFPS
+		Gate:           overheadVerdict("tracing", p, traceMaxOverheadPct),
 	}
 
 	// Export the last on-run's trace and structurally validate it: the
 	// bench doubles as an end-to-end check that the export is loadable.
 	var buf bytes.Buffer
-	if err := lastTracer.WriteTraceEvents(&buf); err != nil {
+	if err := last.WriteTraceEvents(&buf); err != nil {
 		return nil, err
 	}
 	if err := ffsva.ValidateTrace(buf.Bytes()); err != nil {
 		return nil, fmt.Errorf("trace export failed validation: %w", err)
 	}
-	rep.FinishedFrames = lastTracer.FinishedFrames()
+	rep.FinishedFrames = last.FinishedFrames()
 	rep.TraceBytes = buf.Len()
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(benchTracePath, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	if rep.OverheadPct > rep.MaxOverheadPct {
-		return nil, fmt.Errorf("tracing overhead %.2f%% exceeds the %.0f%% budget (off %.1f fps, on %.1f fps)",
-			rep.OverheadPct, rep.MaxOverheadPct, rep.OffFPS, rep.OnFPS)
-	}
-	return rep, nil
+	return rep, record(benchTracePath, rep, gate, rep.Gate)
 }

@@ -794,7 +794,10 @@ func (c *Cluster) fail(i int, snaps []pipeline.Snapshot) {
 		// shifts the survivors' counts, and the policy should see it.
 		to := c.sch.Recover(id, i, c.view(snaps))
 		if to < 0 {
-			c.instances[i].StopStream(id)
+			// Abandoned: nothing pulls from the source again.
+			if _, src, _, ok := c.instances[i].StopStream(id); ok {
+				pipeline.DropAhead(src)
+			}
 			c.done[id] = true
 			c.sch.Done(id)
 			continue

@@ -14,6 +14,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -224,13 +225,37 @@ func (inj *Injector) AdjustServiceTime(dev string, now, dur time.Duration) time.
 		switch f.Kind {
 		case DeviceSlow:
 			if f.Factor > 0 {
-				dur = time.Duration(float64(dur) * f.Factor)
+				dur = scaleSat(dur, f.Factor)
 			}
 		case DeviceStall:
-			dur += f.Until - now
+			dur = addSat(dur, f.Until-now)
 		}
 	}
 	return dur
+}
+
+// maxDuration is where adjusted service times saturate: a fault plan
+// with an open-ended stall or a huge slowdown charges "forever", never
+// a wrapped negative time.
+const maxDuration = time.Duration(math.MaxInt64)
+
+// scaleSat multiplies a non-negative duration by a positive factor,
+// saturating at maxDuration.
+func scaleSat(d time.Duration, x float64) time.Duration {
+	if p := float64(d) * x; p < float64(maxDuration) {
+		return time.Duration(p)
+	}
+	return maxDuration
+}
+
+// addSat adds two durations, saturating at maxDuration. A negative w is
+// the overflowed remainder of an open-ended window and counts as
+// forever.
+func addSat(d, w time.Duration) time.Duration {
+	if w < 0 || d > maxDuration-w {
+		return maxDuration
+	}
+	return d + w
 }
 
 func matchStream(f Fault, stream int, seq int64) bool {
@@ -305,6 +330,9 @@ func Parse(s string) (Fault, error) {
 			f.Until, err = time.ParseDuration(v)
 		case "x":
 			f.Factor, err = strconv.ParseFloat(v, 64)
+			if err == nil && (math.IsNaN(f.Factor) || math.IsInf(f.Factor, 0)) {
+				err = fmt.Errorf("factor %v is not finite", f.Factor)
+			}
 		case "seq":
 			lo, hi, ok := strings.Cut(v, "-")
 			if !ok {

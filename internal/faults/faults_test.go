@@ -56,6 +56,9 @@ func TestParseErrors(t *testing.T) {
 		"decode:stream=0,seq=20",    // malformed seq
 		"slow:dev=gpu0,from=1s",     // slow without x
 		"slow:dev=gpu0,x=0",         // non-positive factor
+		"slow:dev=gpu0,x=+Inf",      // infinite factor
+		"slow:dev=gpu0,x=NaN",       // NaN factor
+		"stall:dev=gpu1,x=-Inf",     // non-finite factor on any kind
 		"crash:inst=one",            // bad int
 		"crash:at=soon",             // bad duration
 		"crash:inst=0,when=1s",      // unknown key
@@ -188,6 +191,43 @@ func TestAdjustServiceTimeEmptyDeviceMatchesAll(t *testing.T) {
 	if got := inj.AdjustServiceTime("ssd", 0, time.Millisecond); got != 3*time.Millisecond {
 		t.Errorf("wildcard device adjust = %v, want 3ms", got)
 	}
+}
+
+func TestAdjustServiceTimeSaturates(t *testing.T) {
+	// A huge slowdown and an open-ended stall both charge "forever"
+	// instead of wrapping to a negative service time.
+	for _, spec := range []string{
+		"slow:dev=gpu0,x=1e300",
+		"stall:dev=gpu0",
+	} {
+		f, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		inj := NewInjector([]Fault{f})
+		if got := inj.AdjustServiceTime("gpu0", 0, 10*time.Millisecond); got != maxDuration {
+			t.Errorf("%s: adjust = %v, want the saturated %v", spec, got, maxDuration)
+		}
+	}
+}
+
+// FuzzParse feeds arbitrary -inject specs to Parse. The flag crosses
+// the CLI's trust boundary, so Parse must never panic, and a spec it
+// accepts must never make AdjustServiceTime charge a negative duration
+// for a non-negative nominal time at a non-negative clock time. The
+// seed corpus in testdata/fuzz/FuzzParse (every kind, plus infinite,
+// NaN, huge and open-ended values) replays under go test.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, now, dur int64) {
+		fault, err := Parse(spec)
+		if err != nil || now < 0 || dur < 0 {
+			return
+		}
+		inj := NewInjector([]Fault{fault})
+		if got := inj.AdjustServiceTime(fault.Device, time.Duration(now), time.Duration(dur)); got < 0 {
+			t.Fatalf("Parse(%q) accepted; AdjustServiceTime(%q, %v, %v) = %v", spec, fault.Device, time.Duration(now), time.Duration(dur), got)
+		}
+	})
 }
 
 // stubSource delivers fresh frames and counts pulls.

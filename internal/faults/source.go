@@ -72,6 +72,15 @@ func (s *Source) Discard() {
 	s.attempts = 0
 }
 
+// DropAhead forwards to the inner source's DropAhead, if it has one,
+// so a stream stopped early returns its rendered-ahead frame through
+// the wrapper.
+func (s *Source) DropAhead() {
+	if a, ok := s.inner.(interface{ DropAhead() }); ok {
+		a.DropAhead()
+	}
+}
+
 // Background exposes the inner source's trained background so cluster
 // re-forwarding can re-seed the target instance's detector through the
 // wrapper. Returns nil when the inner source has none.

@@ -25,22 +25,22 @@ import (
 )
 
 // refConsolidatedLoop drains the reference queue in consolidation
-// rounds: gather up to ConsolidateFrames survivors (topping up for
-// ConsolidateWait when the first grab comes back short), resolve their
+// rounds: gather up to consolidateFrames survivors (topping up for
+// consolidateWait when the first grab comes back short), resolve their
 // streams, pack, infer, unpack.
 func (s *System) refConsolidatedLoop() {
 	clk := s.cfg.Clock
-	limit := s.cfg.ConsolidateFrames
+	limit := consolidateFrames
 	for {
 		batch := s.refQ.GetUpTo(limit)
 		if len(batch) == 0 {
 			break // queue closed and drained
 		}
-		if len(batch) < limit && s.cfg.ConsolidateWait > 0 {
+		if len(batch) < limit {
 			// Deadline-bounded top-up: one fixed modeled wait, then take
 			// whatever arrived. A single sleep (rather than a poll loop)
 			// keeps the round's schedule deterministic.
-			clk.Sleep(s.cfg.ConsolidateWait)
+			clk.Sleep(consolidateWait)
 			for len(batch) < limit {
 				f, ok := s.refQ.TryGet()
 				if !ok {
@@ -87,8 +87,7 @@ func (s *System) consolidateRound(batch []*frame.Frame) {
 	// the open canvas, opening a new canvas when a crop does not fit.
 	// The canvas pixels are genuinely assembled (the reference detector
 	// is an oracle here, but the geometry and memory traffic are real).
-	canvas := s.cfg.ConsolidateCanvas
-	pad := s.cfg.ConsolidatePad
+	canvas, pad := consolidateCanvas, consolidatePad
 	packer := imgproc.NewShelfPacker(canvas, canvas)
 	canvases := 1
 	dst := imgproc.GetGray(canvas, canvas)
@@ -152,7 +151,6 @@ func (s *System) consolidateRound(batch []*frame.Frame) {
 	// packed crops could have found — an object not covered by any crop
 	// (or truncated below MinCover by a crop boundary) is lost to
 	// consolidation, which is exactly the accuracy delta the lab scores.
-	minCover := s.cfg.ConsolidateMinCover
 	for i, f := range live {
 		st := owners[i]
 		f.Trace.AddSpan(trace.KRef, refStart, refEnd, s.gpu1.Name, len(live))
@@ -164,7 +162,7 @@ func (s *System) consolidateRound(batch []*frame.Frame) {
 			if d.Class != st.spec.Target || d.Conf < s.cfg.RefConf {
 				continue
 			}
-			if imgproc.CoverFrac(d.Box, rects) >= minCover {
+			if imgproc.CoverFrac(d.Box, rects) >= consolidateMinCover {
 				count++
 			}
 		}

@@ -171,7 +171,7 @@ type FrameSource interface {
 // FallibleSource is a FrameSource whose decodes can fail (fault
 // injection; faults.Source implements it). The prefetcher probes
 // DecodeFails before pulling: each true is one failed attempt, retried
-// within Config.DecodeRetryBudget. A frame still failing past the
+// within decodeRetryBudget. A frame still failing past the
 // budget is abandoned via Discard — the source advances past it without
 // delivering a frame — and recorded as DropError so the conservation
 // ledger stays complete. The probe/pull split keeps the actual pull
@@ -181,6 +181,18 @@ type FallibleSource interface {
 	FrameSource
 	DecodeFails() bool
 	Discard()
+}
+
+// DropAhead returns the frame src rendered ahead of its last Next to the
+// frame pool, when src keeps one (vidgen.Stream, and faults.Source
+// around one); a later Next still delivers the same frame. A stream
+// that stops pulling before its budget — CancelAll, Crash, or a cluster
+// abandoning it — calls it so the pool's get/put ledger balances. The
+// caller must own src: no prefetcher may pull from it concurrently.
+func DropAhead(src FrameSource) {
+	if a, ok := src.(interface{ DropAhead() }); ok {
+		a.DropAhead()
+	}
 }
 
 // StreamSpec is one video stream plus its specialized filters.
@@ -258,34 +270,12 @@ type Config struct {
 	// into fixed canvases across streams, and each canvas costs one
 	// reference inference. See DESIGN.md §15.
 
-	// Consolidate turns crop-and-pack consolidation on.
+	// Consolidate turns crop-and-pack consolidation on; the geometry and
+	// round shape are the consolidate* constants.
 	Consolidate bool
-	// ConsolidateCanvas is the square canvas side in pixels (default
-	// 416, the YOLOv2 input).
-	ConsolidateCanvas int
-	// ConsolidatePad is the padding added around each candidate crop
-	// (default 8); padding recovers objects T-YOLO localized loosely.
-	ConsolidatePad int
-	// ConsolidateFrames bounds how many frames one consolidation round
-	// gathers from the reference queue (default 16).
-	ConsolidateFrames int
-	// ConsolidateWait is the deadline a partially-filled round waits for
-	// more frames before packing what it has (default 2ms of modeled
-	// time); zero-with-Consolidate uses the default, negative disables
-	// the top-up wait.
-	ConsolidateWait time.Duration
-	// ConsolidateMinCover is the fraction of a reference detection's box
-	// that must fall inside a single crop for the detection to count in
-	// the consolidated tally (default 0.7). Objects truncated by crop
-	// boundaries below it are the consolidation accuracy cost.
-	ConsolidateMinCover float64
 
 	// Fault tolerance.
 
-	// DecodeRetryBudget is how many times a failed frame decode is
-	// retried before the frame is abandoned with DropError. Zero means
-	// the default (2); negative disables retries.
-	DecodeRetryBudget int
 	// ShedAfter enables the load-shedding bypass when positive: once a
 	// stream's ingest lateness exceeds it, frames that do not fit in the
 	// capture buffer are shed (DropShed) instead of blocking ingest, so
@@ -326,10 +316,35 @@ type Config struct {
 	// PerStreamTYolo models one private T-YOLO per stream instead of the
 	// shared model: every T-YOLO batch pays a full model reload.
 	PerStreamTYolo bool
-	// TYoloReload is the per-batch reload charge under PerStreamTYolo
-	// (defaults to 60ms, ~1.2 GB over PCIe).
-	TYoloReload time.Duration
 }
+
+// Fixed parameters with no Config knob: every caller runs them at these
+// values.
+const (
+	// consolidateCanvas is the square canvas side in pixels (the YOLOv2
+	// input).
+	consolidateCanvas = 416
+	// consolidatePad is the padding added around each candidate crop;
+	// padding recovers objects T-YOLO localized loosely.
+	consolidatePad = 8
+	// consolidateFrames bounds how many frames one consolidation round
+	// gathers from the reference queue.
+	consolidateFrames = 16
+	// consolidateWait is the modeled deadline a partially-filled round
+	// waits for more frames before packing what it has.
+	consolidateWait = 2 * time.Millisecond
+	// consolidateMinCover is the fraction of a reference detection's box
+	// that must fall inside a single crop for the detection to count in
+	// the consolidated tally. Objects truncated by crop boundaries below
+	// it are the consolidation accuracy cost.
+	consolidateMinCover = 0.7
+	// decodeRetryBudget is how many times a failed frame decode is
+	// retried before the frame is abandoned with DropError.
+	decodeRetryBudget = 2
+	// tyoloReload is the per-batch reload charge under PerStreamTYolo
+	// (~1.2 GB over PCIe).
+	tyoloReload = 60 * time.Millisecond
+)
 
 // DefaultConfig returns the paper's defaults on a fresh clock.
 func DefaultConfig(clk vclock.Clock) Config {
@@ -376,32 +391,8 @@ func (c *Config) fill() {
 	if c.FilterGPUs <= 0 {
 		c.FilterGPUs = 1
 	}
-	switch {
-	case c.DecodeRetryBudget == 0:
-		c.DecodeRetryBudget = 2
-	case c.DecodeRetryBudget < 0:
-		c.DecodeRetryBudget = 0
-	}
 	if c.RefConf <= 0 {
 		c.RefConf = 0.5
-	}
-	if c.ConsolidateCanvas <= 0 {
-		c.ConsolidateCanvas = 416
-	}
-	if c.ConsolidatePad <= 0 {
-		c.ConsolidatePad = 8
-	}
-	if c.ConsolidateFrames <= 0 {
-		c.ConsolidateFrames = 16
-	}
-	switch {
-	case c.ConsolidateWait == 0:
-		c.ConsolidateWait = 2 * time.Millisecond
-	case c.ConsolidateWait < 0:
-		c.ConsolidateWait = 0
-	}
-	if c.ConsolidateMinCover <= 0 {
-		c.ConsolidateMinCover = 0.7
 	}
 }
 
@@ -487,16 +478,12 @@ func New(cfg Config, specs []StreamSpec) *System {
 		// Inflate the T-YOLO activation charge to a full model reload;
 		// tyStage invalidates the device before each batch so it is paid
 		// every time.
-		reload := cfg.TYoloReload
-		if reload <= 0 {
-			reload = 60 * time.Millisecond
-		}
 		costs := device.CostModel{}
 		for k, v := range cfg.Costs {
 			costs[k] = v
 		}
 		c := costs[device.ModelTYolo]
-		c.Activate = reload
+		c.Activate = tyoloReload
 		costs[device.ModelTYolo] = c
 		cfg.Costs = costs
 	}

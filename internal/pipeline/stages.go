@@ -62,9 +62,26 @@ func (s *System) heartbeat() {
 // continuations correctly, which together let cluster recovery account
 // for and re-forward every stream of the dead instance.
 func (s *System) Crash() {
+	s.streamsMu.Lock()
+	defer s.streamsMu.Unlock()
 	s.recMu.Lock()
+	s.dropAheadLocked()
 	s.crashed = true
 	s.recMu.Unlock()
+}
+
+// dropAheadLocked returns every running stream's rendered-ahead frame
+// to the pool as ingest halts. The caller holds streamsMu and recMu and
+// is about to stop every stream: a prefetcher pulls only under recMu
+// after checking for a stop, so none is mid-pull and none pulls again.
+// Fragments already stopped are skipped — StopStream handed their
+// source to a continuation that now owns it.
+func (s *System) dropAheadLocked() {
+	for _, st := range s.streams {
+		if !st.stop {
+			DropAhead(st.spec.Source)
+		}
+	}
 }
 
 // Crashed reports whether Crash was called.
@@ -170,6 +187,7 @@ func (s *System) CancelAll() {
 	s.streamsMu.Lock()
 	defer s.streamsMu.Unlock()
 	s.recMu.Lock()
+	s.dropAheadLocked()
 	for _, st := range s.streams {
 		st.stop = true
 	}
@@ -261,7 +279,7 @@ func (s *System) prefetch(st *streamState) {
 					s.cpu.Use(device.ModelDecode, 1, s.cfg.Costs)
 				}
 				tries++
-				if tries > s.cfg.DecodeRetryBudget {
+				if tries > decodeRetryBudget {
 					lost = true
 					break
 				}

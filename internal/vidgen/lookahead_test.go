@@ -157,3 +157,37 @@ func TestLookaheadStaysWithinBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestDropAheadRewinds drops the pending render partway through a
+// budgeted stream — what a stopped pipeline stream does — and keeps
+// pulling, as a migrated continuation does. The dropped plane goes back
+// to the pool, and every later frame matches the serial stream's.
+func TestDropAheadRewinds(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(4))
+	const n, budget, at = 300, 280, 120
+	cfg := lookaheadConfig()
+	ref := consume(New(cfg), n, nil)
+
+	g0, p0 := frame.PoolStats()
+	s := New(cfg)
+	s.SetFrameBudget(budget)
+	got := consume(s, at, nil)
+	s.DropAhead()
+	s.DropAhead() // a second drop has nothing to return
+	if g1, p1 := frame.PoolStats(); g1-g0 != at+1 || p1-p0 != at+1 {
+		t.Fatalf("after DropAhead: pool gets %d, puts %d; want %d each", g1-g0, p1-p0, at+1)
+	}
+	got = append(got, consume(s, n-at, nil)...)
+	for i := range ref {
+		switch {
+		case got[i].seq != ref[i].seq:
+			t.Fatalf("frame %d: seq %d, want %d", i, got[i].seq, ref[i].seq)
+		case !bytes.Equal(got[i].pix, ref[i].pix):
+			t.Fatalf("frame %d: pixels differ from the serial render", i)
+		case !reflect.DeepEqual(got[i].truth, ref[i].truth):
+			t.Fatalf("frame %d: truth %+v, want %+v", i, got[i].truth, ref[i].truth)
+		case got[i].bg != ref[i].bg:
+			t.Fatalf("frame %d: Background() differs from the serial stream's", i)
+		}
+	}
+}

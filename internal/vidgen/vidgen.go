@@ -199,6 +199,11 @@ type Stream struct {
 	ahead       *par.Task
 	aheadF      *frame.Frame
 	renderAhead func()
+	// aheadNoise is noiseState before the pending render; stepped marks
+	// that DropAhead discarded that render after the world had already
+	// stepped to its frame, so the next Next renders without stepping.
+	aheadNoise uint32
+	stepped    bool
 
 	seq        int64
 	frameIdx   int
@@ -454,7 +459,10 @@ func (s *Stream) Next() *frame.Frame {
 		s.ahead.Wait()
 		f, s.ahead, s.aheadF = s.aheadF, nil, nil
 	} else {
-		s.step()
+		if !s.stepped {
+			s.step()
+		}
+		s.stepped = false
 		f = s.render()
 	}
 	s.shown = s.bg
@@ -466,9 +474,26 @@ func (s *Stream) Next() *frame.Frame {
 	}
 	if s.totalFrames < s.budget {
 		s.step()
+		s.aheadNoise = s.noiseState
 		s.ahead = par.Spawn(s.renderAhead)
 	}
 	return f
+}
+
+// DropAhead returns the frame rendered ahead of the last Next to the
+// frame pool, for a consumer that stops pulling before its budget. The
+// world has already stepped to that frame, so only the render is
+// undone: a later Next renders the same frame again, byte for byte.
+// Without a pending render it does nothing.
+func (s *Stream) DropAhead() {
+	if s.ahead == nil {
+		return
+	}
+	s.ahead.Wait()
+	s.aheadF.Release()
+	s.ahead, s.aheadF = nil, nil
+	s.noiseState = s.aheadNoise
+	s.stepped = true
 }
 
 // step advances world state by one frame time.
